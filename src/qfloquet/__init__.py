@@ -16,9 +16,11 @@ from .qmatrix import (LogFailure, NonSquare, NotAnEigenvalue, OmegaViolation,
                       right_eigenvector, spectral_map_check,
                       standard_eigenvalues, sum_norm)
 from .expressions import (DomainError, EvalError, ExprSyntaxError, MatrixSpec,
-                          UnknownIdentifier, evaluate, parse, render)
-from .integrate import (IntegratorConfig, StepUnderflow, Trajectory,
-                        integrate, liouville_residual, trace_integral)
+                          UnknownIdentifier, compile_expr, evaluate, parse,
+                          render)
+from .integrate import (IntegratorConfig, QuadratureFailure, StepUnderflow,
+                        Trajectory, integrate, liouville_residual,
+                        trace_integral)
 from .floquet import (Evidence, FloquetData, NotPeriodic, PeriodicWitness,
                       PeriodicityViolation, Stability, StabilityVerdict,
                       ZeroMultiplier, characteristic_exponents,

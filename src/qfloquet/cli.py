@@ -12,6 +12,7 @@ import argparse
 import concurrent.futures
 import json
 import math
+import os
 import sys
 
 from .expressions import (ExprSyntaxError, MatrixSpec, UnknownIdentifier,
@@ -20,17 +21,20 @@ from .floquet import (NotPeriodic, PeriodicityViolation, classify_constant,
                       classify_periodic, exponent_sum_residual,
                       multiplier_product_check, normal_form)
 from .hill import HillProblem, NotRealCoefficient, analyze
-from .integrate import IntegratorConfig, StepUnderflow
+from .integrate import IntegratorConfig, QuadratureFailure, StepUnderflow
 from .qmatrix import (LogFailure, NonSquare, OmegaViolation, PairingFailure,
                       QMatrix, RecoveryFailure, Singular, expm,
                       standard_eigenvalues)
 from .quaternion import DivisionByZero
 
-NUMERICAL_ERRORS = (Singular, StepUnderflow, PeriodicityViolation, NotPeriodic,
-                    LogFailure, OmegaViolation, PairingFailure, RecoveryFailure,
+NUMERICAL_ERRORS = (Singular, StepUnderflow, QuadratureFailure,
+                    PeriodicityViolation, NotPeriodic, LogFailure,
+                    OmegaViolation, PairingFailure, RecoveryFailure,
                     NotRealCoefficient, DivisionByZero, ArithmeticError)
 CONFIG_ERRORS = (ExprSyntaxError, UnknownIdentifier, NonSquare, ValueError,
                  KeyError, json.JSONDecodeError)
+# largest grid a start/stop/step sweep may ask for
+MAX_SWEEP_POINTS = 100_000
 
 
 # -- serialization ------------------------------------------------------------
@@ -249,25 +253,11 @@ def run_hill(config, p_value=None):
     source = config.get("a")
     if not source:
         raise ValueError("hill mode requires the coefficient expression --a")
-    variables = ("t", "p") if p_value is not None else ("t",)
-    node = parse(source, variables)
-    if p_value is not None:
-        from .expressions import Num, Var, BinOp, Neg, Pow, Call
-
-        def substitute(n):
-            if isinstance(n, Var) and n.name == "p":
-                return Num(float(p_value))
-            if isinstance(n, Neg):
-                return Neg(substitute(n.arg))
-            if isinstance(n, BinOp):
-                return BinOp(n.op, substitute(n.left), substitute(n.right))
-            if isinstance(n, Pow):
-                return Pow(substitute(n.base), n.exponent)
-            if isinstance(n, Call):
-                return Call(n.fn, substitute(n.arg))
-            return n
-        node = substitute(node)
-    problem = HillProblem(node, float(config["period"]))
+    if p_value is None:
+        node, params = parse(source), None
+    else:
+        node, params = parse(source, ("t", "p")), {"p": float(p_value)}
+    problem = HillProblem(node, float(config["period"]), params)
     report = analyze(problem, _integrator_config(config))
     moduli = sorted(abs(v) for v in report.multipliers.expanded())
     return {
@@ -311,20 +301,33 @@ SWEEP_COLUMNS = ("p", "re_trace", "frob_sq", "abs_rho1", "abs_rho2",
                  "error")
 
 
+def _sweep_range(start, stop, step):
+    """start + index * step for every index that stays within stop."""
+    start, stop, step = float(start), float(stop), float(step)
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"sweep step must be positive and finite, got {step}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError("sweep start and stop must be finite")
+    steps = (stop - start) / step
+    if steps < 0:
+        return []
+    if not steps < MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep of {steps:.3g} steps exceeds the limit "
+                         f"{MAX_SWEEP_POINTS}")
+    # the slack keeps `stop` when rounding puts it a hair past the last step
+    return [start + index * step for index in range(math.floor(steps + 1e-9) + 1)]
+
+
 def run_sweep(config):
     sweep = config.get("sweep", {})
     if "grid" in sweep:
         grid = [float(v) for v in sweep["grid"]]
     elif {"start", "stop", "step"} <= set(sweep):
-        grid = []
-        value = float(sweep["start"])
-        while value <= float(sweep["stop"]) + 1e-12:
-            grid.append(value)
-            value += float(sweep["step"])
+        grid = _sweep_range(sweep["start"], sweep["stop"], sweep["step"])
     else:
         grid = []
-    jobs = int(config.get("jobs", 1))
-    if jobs > 1 and grid:
+    jobs = min(int(config.get("jobs", 1)), len(grid), os.cpu_count() or 1)
+    if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_point, [config] * len(grid), grid))
     else:

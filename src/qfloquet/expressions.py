@@ -1,4 +1,4 @@
-"""Parser and evaluator for quaternion-valued functions of time.
+"""Parser and compiler for quaternion-valued functions of time.
 
 The grammar is deliberately small:
 
@@ -13,17 +13,29 @@ do not commute); division x/y means x * y^-1.  There is no implicit
 multiplication.  `cos`/`sin` accept real arguments only; `exp` is the full
 quaternion exponential.  The default variable is `t`; callers may allow
 extra symbols (the CLI sweep enables `p`).
+
+The parser bounds its input: an expression may nest at most MAX_DEPTH
+levels (parentheses, calls, unary minus and each operator of a chain count)
+and an exponent may not exceed MAX_EXPONENT; either breach is an
+ExprSyntaxError.  Evaluation goes through a compile step: `compile_expr`
+turns an AST once into a closure on (q0, q1, q2, q3) tuples of floats, with
+every variable-free subtree folded to its value and real-valued subtrees
+kept as plain floats.  `MatrixSpec` compiles its entries when it is built;
+`evaluate` compiles and calls in one step.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .quaternion import Quaternion, qexp
+from .quaternion import (DivisionByZero, Quaternion, exp_components,
+                         inverse_components, product)
 
 UNIT_NAMES = {"i": Quaternion(0, 1, 0, 0),
               "j": Quaternion(0, 0, 1, 0),
@@ -31,6 +43,13 @@ UNIT_NAMES = {"i": Quaternion(0, 1, 0, 0),
 FUNCTION_NAMES = ("exp", "cos", "sin")
 # tolerance for deciding that a cos/sin argument is real
 REAL_ARG_TOL = 1e-12
+# deepest nesting parse accepts; keeps the recursive parser, compiler and
+# renderer well inside Python's recursion limit
+MAX_DEPTH = 100
+# largest exponent parse accepts: x^n costs n products per evaluation
+MAX_EXPONENT = 100
+# sample count of the grid checks on [0, T) (periodicity, realness)
+GRID_POINTS = 64
 
 
 class ExprSyntaxError(ValueError):
@@ -127,6 +146,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -142,58 +162,78 @@ class _Parser:
             raise ExprSyntaxError(f"expected {symbol!r}", offset)
         return self.advance()
 
-    def parse_expr(self):
-        node = self.parse_term()
+    # Each parse_* method returns (node, height): the number of AST levels,
+    # bounded by MAX_DEPTH.  `depth` counts the open parentheses, calls and
+    # unary minuses, which bounds the parser's own recursion.
+
+    def check_depth(self, height, offset):
+        if height > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nests deeper than {MAX_DEPTH} levels", offset)
+        return height
+
+    def nested(self, parse, offset):
+        """Run a recursive descent step one nesting level deeper."""
+        self.depth += 1
+        self.check_depth(self.depth, offset)
+        result = parse()
+        self.depth -= 1
+        return result
+
+    def chain(self, ops, parse_operand):
+        """Left-associative chain of operands joined by the operators `ops`."""
+        node, height = parse_operand()
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.parse_term())
-            else:
-                return node
+            kind, text, offset = self.peek()
+            if kind != "op" or text not in ops:
+                return node, height
+            self.advance()
+            right, right_height = parse_operand()
+            node = BinOp(text, node, right)
+            height = self.check_depth(max(height, right_height) + 1, offset)
+
+    def parse_expr(self):
+        return self.chain("+-", self.parse_term)
 
     def parse_term(self):
-        node = self.parse_factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.parse_factor())
-            else:
-                return node
+        return self.chain("*/", self.parse_factor)
 
     def parse_factor(self):
-        node = self.parse_atom()
+        node, height = self.parse_atom()
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
             self.advance()
             kind, text, offset = self.advance()
             if kind != "number" or not re.fullmatch(r"\d+", text):
                 raise ExprSyntaxError("exponent must be a nonnegative integer", offset)
-            node = Pow(node, int(text))
-        return node
+            if int(text) > MAX_EXPONENT:
+                raise ExprSyntaxError(
+                    f"exponent {text} exceeds the limit {MAX_EXPONENT}", offset)
+            node, height = Pow(node, int(text)), self.check_depth(height + 1, offset)
+        return node, height
 
     def parse_atom(self):
         kind, text, offset = self.advance()
         if kind == "number":
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == "ident":
             if text in UNIT_NAMES:
-                return Unit(text)
+                return Unit(text), 1
             if text in FUNCTION_NAMES:
                 self.expect_op("(")
-                arg = self.parse_expr()
+                arg, height = self.nested(self.parse_expr, offset)
                 self.expect_op(")")
-                return Call(text, arg)
+                return Call(text, arg), self.check_depth(height + 1, offset)
             if text in self.variables:
-                return Var(text)
+                return Var(text), 1
             raise UnknownIdentifier(f"unknown identifier {text!r}", offset)
         if kind == "op" and text == "(":
-            node = self.parse_expr()
+            result = self.nested(self.parse_expr, offset)
             self.expect_op(")")
-            return node
+            return result
         if kind == "op" and text == "-":
-            return Neg(self.parse_atom())
+            arg, height = self.nested(self.parse_atom, offset)
+            return Neg(arg), self.check_depth(height + 1, offset)
         raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input",
                               offset)
 
@@ -203,65 +243,218 @@ def parse(src, variables=("t",)):
     if not src or not src.strip():
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(_tokenize(src), tuple(variables))
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     kind, text, offset = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"unexpected trailing {text!r}", offset)
     return node
 
 
-# -- evaluation ---------------------------------------------------------------
+# -- compilation and evaluation -----------------------------------------------
+#
+# A compiled subtree is a function of (t, params).  Subtrees that are real by
+# construction (numbers, variables, cos/sin, and + - * / ^ of real operands)
+# return floats; every other subtree returns a (q0, q1, q2, q3) tuple.  A
+# subtree without a variable is folded to its value once; when folding raises
+# (1/0, cos(i)), the subtree stays unfolded so the error surfaces at evaluation.
 
 
-def _real_argument(value, fn):
-    if value.vec_norm() > REAL_ARG_TOL * max(1.0, abs(value)):
-        raise DomainError(f"{fn} requires a real argument, got {value}")
-    return value.q0
+class _Code(NamedTuple):
+    fn: object        # (t, params) -> float when `real`, else a 4-tuple
+    real: bool
+    value: object     # the folded value, or None when fn depends on a variable
 
 
-def evaluate(node, t, params=None):
-    """Evaluate an AST at time t; `params` maps extra variable names to reals."""
-    if isinstance(node, Num):
-        return Quaternion.from_real(node.value)
-    if isinstance(node, Unit):
-        return UNIT_NAMES[node.name]
-    if isinstance(node, Var):
-        if node.name == "t":
-            return Quaternion.from_real(t)
-        value = (params or {}).get(node.name)
-        if value is None:
-            raise EvalError(f"no value bound for variable {node.name!r}")
-        return Quaternion.from_real(value)
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, t, params)
-    if isinstance(node, BinOp):
-        left = evaluate(node.left, t, params)
-        right = evaluate(node.right, t, params)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left / right  # x/y = x * y^-1; zero divisor raises DivisionByZero
-    if isinstance(node, Pow):
-        base = evaluate(node.base, t, params)
-        out = Quaternion(1.0)
-        for _ in range(node.exponent):
-            out = out * base
+def _scale(r, a):
+    return (r * a[0], r * a[1], r * a[2], r * a[3])
+
+
+def _scale_right(a, r):
+    # a real factor commutes with every quaternion
+    return (a[0] * r, a[1] * r, a[2] * r, a[3] * r)
+
+
+def _real_inverse(y):
+    # the real case of inverse_components, with the same rounding
+    n2 = y * y
+    if n2 == 0.0:
+        raise DivisionByZero("inverse of zero quaternion")
+    return y / n2
+
+
+def _add_qq(a, b):
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+
+
+def _sub_qq(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
+
+
+# (op, left is real, right is real) -> operation on the operand values;
+# x/y means x * y^-1
+_BINARY = {
+    ("+", True, True): operator.add,
+    ("+", True, False): lambda x, b: (x + b[0], b[1], b[2], b[3]),
+    ("+", False, True): lambda a, y: (a[0] + y, a[1], a[2], a[3]),
+    ("+", False, False): _add_qq,
+    ("-", True, True): operator.sub,
+    ("-", True, False): lambda x, b: (x - b[0], -b[1], -b[2], -b[3]),
+    ("-", False, True): lambda a, y: (a[0] - y, a[1], a[2], a[3]),
+    ("-", False, False): _sub_qq,
+    ("*", True, True): operator.mul,
+    ("*", True, False): _scale,
+    ("*", False, True): _scale_right,
+    ("*", False, False): product,
+    ("/", True, True): lambda x, y: x * _real_inverse(y),
+    ("/", True, False): lambda x, b: _scale(x, inverse_components(b)),
+    ("/", False, True): lambda a, y: _scale_right(a, _real_inverse(y)),
+    ("/", False, False): lambda a, b: product(a, inverse_components(b)),
+}
+
+
+def _power(n, real):
+    """x^n as n ordered products starting from 1, like the grammar defines."""
+    one, multiply = ((1.0, operator.mul) if real
+                     else ((1.0, 0.0, 0.0, 0.0), product))
+
+    def power(x):
+        out = one
+        for _ in range(n):
+            out = multiply(out, x)
         return out
+    return power
+
+
+def _real_argument(fn, trig):
+    def checked(a):
+        if math.hypot(a[1], a[2], a[3]) > REAL_ARG_TOL * max(1.0, math.hypot(*a)):
+            raise DomainError(f"{fn} requires a real argument, got "
+                              f"{Quaternion(*a)}")
+        return trig(a[0])
+    return checked
+
+
+_TRIG = {"cos": math.cos, "sin": math.sin}
+
+
+def _variable(name):
+    if name == "t":
+        return lambda t, params: t
+
+    def lookup(t, params):
+        value = params.get(name) if params else None
+        if value is None:
+            raise EvalError(f"no value bound for variable {name!r}")
+        return float(value)
+    return lookup
+
+
+def _closure(op, args):
+    """f(t, params) = op(*operand values), with folded operands captured."""
+    if len(args) == 1:
+        (a,) = args
+        if a.value is not None:
+            v = a.value
+            return lambda t, params: op(v)
+        f = a.fn
+        return lambda t, params: op(f(t, params))
+    a, b = args
+    f, g, v, w = a.fn, b.fn, a.value, b.value
+    if v is not None and w is not None:
+        return lambda t, params: op(v, w)
+    if v is not None:
+        return lambda t, params: op(v, g(t, params))
+    if w is not None:
+        return lambda t, params: op(f(t, params), w)
+    return lambda t, params: op(f(t, params), g(t, params))
+
+
+def _apply(op, real, *args):
+    """Code for op over the args' values; folded when every arg is folded."""
+    fn = _closure(op, args)
+    if any(arg.value is None for arg in args):
+        return _Code(fn, real, None)
+    try:
+        return _constant(fn(0.0, None))
+    except (ArithmeticError, ValueError):
+        return _Code(fn, real, None)
+
+
+def _constant(value):
+    return _Code(lambda t, params: value, isinstance(value, float), value)
+
+
+def _compile(node):
+    if isinstance(node, Num):
+        return _constant(float(node.value))
+    if isinstance(node, Unit):
+        return _constant(UNIT_NAMES[node.name].components())
+    if isinstance(node, Var):
+        return _Code(_variable(node.name), True, None)
+    if isinstance(node, Neg):
+        arg = _compile(node.arg)
+        if arg.real:
+            return _apply(operator.neg, True, arg)
+        return _apply(lambda a: (-a[0], -a[1], -a[2], -a[3]), False, arg)
+    if isinstance(node, BinOp):
+        left, right = _compile(node.left), _compile(node.right)
+        return _apply(_BINARY[node.op, left.real, right.real],
+                      left.real and right.real, left, right)
+    if isinstance(node, Pow):
+        base = _compile(node.base)
+        return _apply(_power(node.exponent, base.real), base.real, base)
     if isinstance(node, Call):
-        arg = evaluate(node.arg, t, params)
+        arg = _compile(node.arg)
         if node.fn == "exp":
-            return qexp(arg)
-        if node.fn == "cos":
-            return Quaternion.from_real(math.cos(_real_argument(arg, "cos")))
-        return Quaternion.from_real(math.sin(_real_argument(arg, "sin")))
+            return _apply(math.exp if arg.real else exp_components, arg.real,
+                          arg)
+        trig = _TRIG[node.fn]
+        return _apply(trig if arg.real else _real_argument(node.fn, trig),
+                      True, arg)
     raise TypeError(f"not a TimeExpr node: {node!r}")
 
 
-# alias matching the operation name used elsewhere
-eval_expr = evaluate
+def _quaternion_fn(code):
+    if code.value is not None:
+        value = (code.value, 0.0, 0.0, 0.0) if code.real else code.value
+        return lambda t, params: value
+    if code.real:
+        f = code.fn
+        return lambda t, params: (f(t, params), 0.0, 0.0, 0.0)
+    return code.fn
+
+
+def _scalar_part_fn(code):
+    if code.value is not None:
+        value = code.value if code.real else code.value[0]
+        return lambda t, params: value
+    if code.real:
+        return code.fn
+    f = code.fn
+    return lambda t, params: f(t, params)[0]
+
+
+def compile_expr(node):
+    """Compile an AST once into f(t, params) -> (q0, q1, q2, q3).
+
+    `params` maps extra variable names to reals (or is None).  Call the
+    result at each time instead of re-walking the AST with `evaluate`.
+    """
+    return _quaternion_fn(_compile(node))
+
+
+def evaluate(node, t, params=None):
+    """Evaluate an AST at time t; `params` maps extra variable names to reals.
+
+    Compiles the AST on every call; see compile_expr for repeated evaluation.
+    """
+    return Quaternion(*compile_expr(node)(float(t), params))
+
+
+def grid_max(measure, period, points=GRID_POINTS):
+    """Largest measure(t) over `points` equally spaced times in [0, period)."""
+    return max(measure(float(t))
+               for t in np.linspace(0.0, period, points, endpoint=False))
 
 
 # -- rendering ----------------------------------------------------------------
@@ -314,7 +507,10 @@ def quaternion_literal(q):
 
 
 class MatrixSpec:
-    """Square grid of TimeExpr entries defining A(t), optionally periodic."""
+    """Square grid of TimeExpr entries defining A(t), optionally periodic.
+
+    The entries are compiled once, when the specification is built.
+    """
 
     def __init__(self, entries, period=None):
         self.entries = tuple(tuple(row) for row in entries)
@@ -325,6 +521,10 @@ class MatrixSpec:
         if period is not None and not period > 0:
             raise ValueError("period must be positive")
         self.period = period
+        codes = [_compile(entry) for row in self.entries for entry in row]
+        self._entry_fns = [_quaternion_fn(code) for code in codes]
+        self._diagonal_fns = [_scalar_part_fn(codes[m * (self.n + 1)])
+                              for m in range(self.n)]
 
     @staticmethod
     def from_strings(rows, period=None, variables=("t",)):
@@ -340,15 +540,23 @@ class MatrixSpec:
 
     def evaluate(self, t, params=None):
         from .qmatrix import QMatrix
-        return QMatrix.from_entries(
-            [[evaluate(entry, t, params) for entry in row] for row in self.entries])
+        t = float(t)
+        values = [f(t, params) for f in self._entry_fns]
+        return QMatrix(np.array(values).reshape(self.n, self.n, 4))
 
-    def periodicity_residual(self, grid_points=64, params=None):
+    def re_trace(self, t, params=None):
+        """Re tr A(t), from the diagonal entries alone."""
+        t = float(t)
+        return sum(f(t, params) for f in self._diagonal_fns)
+
+    def periodicity_residual(self, grid_points=GRID_POINTS, params=None):
         """max over a grid of ||A(t) - A(t+T)|| in the entrywise sum norm."""
         if self.period is None:
             return 0.0
-        worst = 0.0
-        for t in np.linspace(0.0, self.period, grid_points, endpoint=False):
-            diff = self.evaluate(t, params) - self.evaluate(t + self.period, params)
-            worst = max(worst, diff.sum_norm())
-        return worst
+        period = self.period
+
+        def drift(t):
+            return sum(math.hypot(*map(operator.sub, f(t, params),
+                                       f(t + period, params)))
+                       for f in self._entry_fns)
+        return grid_max(drift, period, grid_points)

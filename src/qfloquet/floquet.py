@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expressions import GRID_POINTS
 from .integrate import integrate, trace_integral
 from .qmatrix import (EIG_CLUSTER_TOL, QMatrix, Singular, StandardSpectrum,
                       adjoint, expm, logm, right_eigenvector,
@@ -29,7 +30,7 @@ STAB_TOL = 1e-7
 P_PERIODICITY_TOL = 1e-6
 # number of P(t) samples kept on [0, T]
 P_SAMPLE_COUNT = 33
-# residual allowance for the A(t+T) = A(t) grid test
+# residual allowance for the A(t+T) = A(t) grid test (also used by hill.py)
 COEFF_PERIODICITY_TOL = 1e-8
 
 
@@ -167,11 +168,11 @@ def classify_periodic(fd):
 def _require_periodic(spec, params=None):
     if spec.period is None:
         raise NotPeriodic("system has no finite period")
-    residual = spec.periodicity_residual(64, params)
+    residual = spec.periodicity_residual(params=params)
     if residual > COEFF_PERIODICITY_TOL:
         raise NotPeriodic(
             f"coefficient periodicity residual {residual:.3e} exceeds "
-            f"{COEFF_PERIODICITY_TOL:.1e} on a 64-point grid")
+            f"{COEFF_PERIODICITY_TOL:.1e} on a {GRID_POINTS}-point grid")
 
 
 def monodromy(spec, cfg=None, params=None):

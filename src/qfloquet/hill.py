@@ -10,22 +10,21 @@ trace classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
-import numpy as np
-
-from .expressions import MatrixSpec, Neg, Num, evaluate
-from .floquet import (Evidence, Stability, StabilityVerdict,
-                      characteristic_multipliers, classify_multipliers,
-                      monodromy)
+from .expressions import MatrixSpec, Neg, Num, compile_expr, grid_max
+from .floquet import (COEFF_PERIODICITY_TOL, Evidence, Stability,
+                      StabilityVerdict, characteristic_multipliers,
+                      classify_multipliers, monodromy)
 from .qmatrix import QMatrix, standard_eigenvalues
 
 # band half-width for trace comparisons against +-2
 TRACE_TOL = 1e-6
 # allowance for the M(T) = +-I tests
 IDENTITY_TOL = 1e-6
-# periodicity requirement for the coefficient on a 64-point grid
-COEFF_PERIODICITY_TOL = 1e-8
+# largest vector part of a(t) on the grid that classify_real accepts
+REAL_COEFF_TOL = 1e-12
 
 
 class NotRealCoefficient(ValueError):
@@ -36,14 +35,15 @@ class NotRealCoefficient(ValueError):
 class HillProblem:
     a: object           # TimeExpr for the coefficient a(t)
     period: float
+    # values of variables in a(t) other than t; a dict, so kept out of hash
+    params: dict = field(default=None, hash=False)
 
     def __post_init__(self):
         if not self.period > 0:
             raise ValueError("period must be positive")
-        worst = 0.0
-        for t in np.linspace(0.0, self.period, 64, endpoint=False):
-            delta = evaluate(self.a, t) - evaluate(self.a, t + self.period)
-            worst = max(worst, abs(delta))
+        # a(t) is the companion's only varying entry, so this is the largest
+        # |a(t) - a(t+T)| on the grid
+        worst = companion(self).periodicity_residual(params=self.params)
         if worst > COEFF_PERIODICITY_TOL:
             raise ValueError(
                 f"a(t) periodicity residual {worst:.3e} exceeds "
@@ -116,8 +116,7 @@ def k_matrix_diagnostics(M_T):
 def analyze(problem, cfg=None):
     """Integrate the companion system over one period and report all three
     verdict channels."""
-    spec = companion(problem)
-    M_T = monodromy(spec, cfg)
+    M_T = monodromy(companion(problem), cfg, problem.params)
     re_trace = M_T.re_trace()
     frob_sq = M_T.frobenius_sq()
     multipliers = characteristic_multipliers(M_T)
@@ -140,15 +139,13 @@ def classify_real(problem, cfg=None):
     tr M(T) outside [-2, 2] is unstable; strictly inside is stable (not
     asymptotically); on the boundary stability requires M(T) = +-I.
     """
-    worst = 0.0
-    for t in np.linspace(0.0, problem.period, 64, endpoint=False):
-        value = evaluate(problem.a, t)
-        worst = max(worst, value.vec_norm())
-    if worst > 1e-12:
+    a = compile_expr(problem.a)
+    worst = grid_max(lambda t: math.hypot(*a(t, problem.params)[1:]),
+                     problem.period)
+    if worst > REAL_COEFF_TOL:
         raise NotRealCoefficient(
             f"coefficient has vector part up to {worst:.3e}")
-    spec = companion(problem)
-    M_T = monodromy(spec, cfg)
+    M_T = monodromy(companion(problem), cfg, problem.params)
     trace = M_T.re_trace()
     if abs(trace - 2.0) <= TRACE_TOL:
         return _near_identity_verdict(M_T, +1, trace)

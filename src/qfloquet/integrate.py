@@ -7,10 +7,17 @@ adaptive Dormand-Prince 5(4) pair; a fixed-step classical RK4 is available
 for convergence studies.  Requested sample times are hit exactly by clipping
 steps, and dense output between accepted steps uses cubic Hermite
 interpolation on the stored states and derivatives.
+
+The integral of Re tr A behind Liouville's identity is a scalar quadrature,
+done directly: adaptive Gauss-Legendre on the compiled diagonal entries of
+the specification (`MatrixSpec.re_trace`), bisecting until the two halves
+agree with the whole to the accuracy target, and raising QuadratureFailure
+when that takes more than TRACE_QUAD_LEVELS bisections.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,8 +26,21 @@ import numpy as np
 from .qmatrix import QMatrix, qdet
 
 
+# trace quadrature: accuracy target relative to max(1, integral of |Re tr A|),
+# deepest bisection, and points of the Gauss-Legendre rule used on each piece
+TRACE_QUAD_TOL = 1e-12
+TRACE_QUAD_LEVELS = 20
+TRACE_QUAD_POINTS = 10
+# relative rounding floor of a Gauss-Legendre sum
+_ROUNDING = 64 * np.finfo(float).eps
+
+
 class StepUnderflow(ArithmeticError):
     """Adaptive controller drove the step below the resolvable size."""
+
+
+class QuadratureFailure(ArithmeticError):
+    """The trace quadrature could not meet its accuracy target."""
 
 
 @dataclass(frozen=True)
@@ -201,41 +221,54 @@ def _integrate_rk4(rhs, t0, t1, M0, cfg, sample_times):
     return Trajectory(times, states, derivs)
 
 
-def _log_volume_factor(spec, t0, sample_times, params=None):
-    """s(t) = integral of Re(tr A) from t0, at each requested time.
+@functools.cache
+def _gauss_legendre_rule():
+    # built on first use: leggauss calls LAPACK, whose start-up would
+    # otherwise add about 1 MB to every process that imports this module
+    return tuple(x.tolist()
+                 for x in np.polynomial.legendre.leggauss(TRACE_QUAD_POINTS))
 
-    Reuses the matrix integrator on the 2x2 companion of the scalar quadrature:
-    with A_aug = [[0, Re tr A(t)], [0, 0]], the (1,2) entry of the principal
-    solution is exactly the running integral.
-    """
 
-    class _ScalarTraceSpec:
-        n = 2
+def _gauss(f, a, b):
+    """Gauss-Legendre estimates of the integrals of f and of |f| over [a, b]."""
+    nodes, weights = _gauss_legendre_rule()
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    values = [f(mid + half * x) for x in nodes]
+    return (half * sum(w * v for w, v in zip(weights, values)),
+            abs(half) * sum(w * abs(v) for w, v in zip(weights, values)))
 
-        @staticmethod
-        def evaluate(t, p=None):
-            value = spec.evaluate(t, params).re_trace()
-            return QMatrix.from_entries([[0.0, value], [0.0, 0.0]])
 
-    t1 = float(max(sample_times))
-    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-    interior = [t for t in sample_times if t > t0]
-    if not interior:
-        return {float(t): 0.0 for t in sample_times}
-    traj = integrate(_ScalarTraceSpec(), t0, t1, QMatrix.identity(2), cfg,
-                     sample_times=interior)
-    out = {}
-    for t in sample_times:
-        if t <= t0:
-            out[float(t)] = 0.0
-        else:
-            out[float(t)] = traj.matrix_at(float(t))[0, 1].q0
-    return out
+def _refine(f, a, b, whole, tol, level):
+    """Bisect [a, b] until the halves agree with `whole` within `tol`, which
+    each bisection splits evenly between the two halves."""
+    mid = 0.5 * (a + b)
+    (left, left_abs), (right, right_abs) = _gauss(f, a, mid), _gauss(f, mid, b)
+    # never demand more than the rounding floor of the sum itself
+    if abs(left + right - whole) <= max(tol, _ROUNDING * (left_abs + right_abs)):
+        return left + right
+    if level == TRACE_QUAD_LEVELS:
+        raise QuadratureFailure(
+            f"trace quadrature missed {tol:.1e} on [{a:.6g}, {b:.6g}] after "
+            f"{TRACE_QUAD_LEVELS} bisections")
+    return (_refine(f, a, mid, left, 0.5 * tol, level + 1)
+            + _refine(f, mid, b, right, 0.5 * tol, level + 1))
 
 
 def trace_integral(spec, t0, t1, params=None):
-    """Integral of Re(tr A(t)) over [t0, t1], to quadrature accuracy 1e-12."""
-    return _log_volume_factor(spec, t0, [t1], params)[float(t1)]
+    """Integral of Re(tr A(t)) over [t0, t1] by adaptive Gauss-Legendre
+    quadrature, to within TRACE_QUAD_TOL * max(1, integral of |Re tr A|).
+
+    Raises QuadratureFailure when that is not met within TRACE_QUAD_LEVELS
+    bisections, or when the integrand is not finite.
+    """
+    def f(t):
+        return spec.re_trace(t, params)
+
+    whole, whole_abs = _gauss(f, t0, t1)
+    if not math.isfinite(whole_abs):
+        raise QuadratureFailure(
+            f"Re tr A is not finite on [{t0:.6g}, {t1:.6g}]")
+    return _refine(f, t0, t1, whole, TRACE_QUAD_TOL * max(1.0, whole_abs), 0)
 
 
 def liouville_residual(traj, spec, params=None):
@@ -243,9 +276,10 @@ def liouville_residual(traj, spec, params=None):
     exp(2 * integral(Re tr A)) * qdet(M(t0)) over the trajectory samples,
     normalized by max(1, qdet(M(t0)))."""
     det0 = qdet(traj.states[0])
-    factors = _log_volume_factor(spec, traj.t0, list(traj.times), params)
+    integral = 0.0
     worst = 0.0
-    for t, state in zip(traj.times, traj.states):
-        expected = math.exp(2.0 * factors[float(t)]) * det0
+    for ta, tb, state in zip(traj.times, traj.times[1:], traj.states[1:]):
+        integral += trace_integral(spec, float(ta), float(tb), params)
+        expected = math.exp(2.0 * integral) * det0
         worst = max(worst, abs(qdet(state) - expected))
     return worst / max(1.0, det0)

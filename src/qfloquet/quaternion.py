@@ -87,14 +87,7 @@ class Quaternion:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a0, a1, a2, a3 = self.q0, self.q1, self.q2, self.q3
-        b0, b1, b2, b3 = other.q0, other.q1, other.q2, other.q3
-        return Quaternion(
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        )
+        return Quaternion(*product(self.components(), other.components()))
 
     def __rmul__(self, other):
         other = _coerce(other)
@@ -161,26 +154,52 @@ def norm(q):
 
 def inverse(q):
     """q^-1 = conj(q) / |q|^2; raises DivisionByZero for q = 0."""
-    n2 = q.q0 * q.q0 + q.q1 * q.q1 + q.q2 * q.q2 + q.q3 * q.q3
-    if n2 == 0.0:
-        raise DivisionByZero("inverse of zero quaternion")
-    return Quaternion(q.q0 / n2, -q.q1 / n2, -q.q2 / n2, -q.q3 / n2)
+    return Quaternion(*inverse_components(q.components()))
 
 
 def qexp(q):
-    """Quaternion exponential.
+    """Quaternion exponential; see exp_components."""
+    return Quaternion(*exp_components(_coerce(q).components()))
 
-    Closed form e^{q0} (cos|v| + (v/|v|) sin|v|) with v the vector part;
+
+# -- the same operations on (q0, q1, q2, q3) tuples of floats ----------------
+# Quaternion's operators delegate here, and compiled expressions call these
+# directly, so each formula exists once.
+
+
+def product(a, b):
+    """Hamilton product a * b of two component tuples (order matters)."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+
+
+def inverse_components(a):
+    """conj(a) / |a|^2; raises DivisionByZero when |a|^2 is 0."""
+    a0, a1, a2, a3 = a
+    n2 = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+    if n2 == 0.0:
+        raise DivisionByZero("inverse of zero quaternion")
+    return (a0 / n2, -a1 / n2, -a2 / n2, -a3 / n2)
+
+
+def exp_components(a):
+    """Quaternion exponential of a component tuple.
+
+    Closed form e^{a0} (cos|v| + (v/|v|) sin|v|) with v the vector part;
     the sin|v|/|v| factor switches to its series below SINC_EPS.
     """
-    q = _coerce(q)
-    r = q.vec_norm()
+    a0, a1, a2, a3 = a
+    r = math.hypot(a1, a2, a3)
     if r < SINC_EPS:
         s = 1.0 - r * r / 6.0
     else:
         s = math.sin(r) / r
-    ea = math.exp(q.q0)
-    return Quaternion(ea * math.cos(r), ea * s * q.q1, ea * s * q.q2, ea * s * q.q3)
+    ea = math.exp(a0)
+    return (ea * math.cos(r), ea * s * a1, ea * s * a2, ea * s * a3)
 
 
 def similar(p, q, tol=SIMILAR_TOL):

@@ -1,10 +1,13 @@
+import concurrent.futures
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+from qfloquet import cli
 from qfloquet.cli import main
 
 GROWING_ENTRIES = ["1", "1", ";", "0", "i + 2*exp(2*i*t)*j"]
@@ -114,6 +117,63 @@ def test_sweep_empty_grid_emits_header_only(capsys):
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1
+
+
+def test_sweep_range_is_indexed(monkeypatch):
+    monkeypatch.setattr(cli, "_sweep_point", lambda config, p: {"p": p})
+    config = {"mode": "sweep", "sweep": {"start": -1, "stop": 3, "step": 4 / 15}}
+    grid = cli.run_sweep(config)["grid"]
+    assert grid == [-1 + index * (4 / 15) for index in range(16)]
+    assert grid[-1] == 3.0
+
+
+@pytest.mark.parametrize("step", [0, -0.5])
+def test_sweep_rejects_nonpositive_step(tmp_path, capsys, step):
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps({
+        "mode": "sweep", "period": "pi", "a": "p + j*cos(2*t)",
+        "sweep": {"start": 0, "stop": 1, "step": step}}))
+    assert run_cli(["sweep", "--config", str(config_path)]) == 2
+    assert "sweep step must be positive" in capsys.readouterr().err
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_jobs_capped_by_grid_and_cpus(monkeypatch, capsys):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "created", [])
+    args = ["sweep", "--period", "pi", "--a", "p + j*cos(2*t)",
+            "--p-grid=0,1,2", "--format", "csv", "--jobs", "64"]
+    for cpus in (8, 2, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run_cli(args) == 0
+    # 3 grid points on 8 cpus, then 2 cpus; one worker runs without a pool
+    assert RecordingPool.created == [3, 2]
+    outputs = capsys.readouterr().out.split("p,re_trace")[1:]
+    assert len(set(outputs)) == 1
+
+
+def test_parser_limits_exit_2(capsys):
+    deep = "(" * 3000 + "1" + ")" * 3000
+    assert run_cli(["constant", "--entry", deep]) == 2
+    assert run_cli(["periodic", "--period", "pi", "--entry", "t^999999999"]) == 2
+    err = capsys.readouterr().err
+    assert "nests deeper" in err and "exceeds" in err
 
 
 def test_replay_reproduces_report(tmp_path, capsys):

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfloquet.expressions import (BinOp, Call, DomainError, EvalError,
+from qfloquet.expressions import (MAX_DEPTH, MAX_EXPONENT, REAL_ARG_TOL,
+                                  BinOp, Call, DomainError, EvalError,
                                   ExprSyntaxError, MatrixSpec, Neg, Num, Pow,
-                                  Unit, UnknownIdentifier, Var, evaluate,
-                                  parse, quaternion_literal, render)
-from qfloquet.quaternion import DivisionByZero, I, J, K, Quaternion
+                                  Unit, UnknownIdentifier, Var, compile_expr,
+                                  evaluate, parse, quaternion_literal, render)
+from qfloquet.quaternion import DivisionByZero, I, J, K, Quaternion, qexp
 
 
 def q(a, b=0.0, c=0.0, d=0.0):
@@ -73,6 +76,27 @@ def test_syntax_error_reports_offset():
         parse("t ^ t")  # exponent must be an integer literal
 
 
+def test_nesting_depth_limit():
+    deep = "(" * 3000 + "1" + ")" * 3000
+    with pytest.raises(ExprSyntaxError, match="nests deeper"):
+        parse(deep)
+    with pytest.raises(ExprSyntaxError, match="nests deeper"):
+        parse("-" * 3000 + "t")
+    with pytest.raises(ExprSyntaxError, match="nests deeper"):
+        parse(" + ".join(["t"] * (MAX_DEPTH + 1)))  # a chain nests too
+    nested = "(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1)
+    assert evaluate(parse(nested), 2.0) == Quaternion(2.0)
+    assert evaluate(parse(" + ".join(["t"] * MAX_DEPTH)), 1.0) \
+        == Quaternion(float(MAX_DEPTH))
+
+
+def test_exponent_limit():
+    with pytest.raises(ExprSyntaxError, match="exceeds") as err:
+        parse("t^999999999")
+    assert err.value.offset == 2
+    assert evaluate(parse(f"t^{MAX_EXPONENT}"), 1.0) == Quaternion(1.0)
+
+
 def test_unknown_identifier():
     with pytest.raises(UnknownIdentifier) as err:
         parse("q + 1")
@@ -99,6 +123,18 @@ def test_domain_error_for_nonreal_trig():
 def test_division_by_zero_propagates():
     with pytest.raises(DivisionByZero):
         evaluate(parse("1/t"), 0.0)
+
+
+def test_constant_errors_wait_for_evaluation():
+    for src, error in (("t + 1/0", DivisionByZero), ("cos(i) + t", DomainError),
+                       ("1/0", DivisionByZero)):
+        node = parse(src)
+        spec = MatrixSpec([[node]])
+        f = compile_expr(node)
+        with pytest.raises(error):
+            f(0.5, None)
+        with pytest.raises(error):
+            spec.evaluate(0.5)
 
 
 def test_parameter_evaluation():
@@ -182,3 +218,68 @@ def test_matrix_spec_from_qmatrix():
     A = QMatrix.from_entries([[Quaternion(1, -2, 0.5, 0), J], [K, 3]])
     spec = MatrixSpec.from_qmatrix(A, period=2.0)
     assert (spec.evaluate(0.7) - A).max_abs() < 1e-15
+
+
+# -- compiled evaluator against a reference built from Quaternion operators ---
+
+
+def reference(node, t, params):
+    """Walk the AST with Quaternion arithmetic, one operator per node."""
+    if isinstance(node, Num):
+        return Quaternion.from_real(node.value)
+    if isinstance(node, Unit):
+        return {"i": I, "j": J, "k": K}[node.name]
+    if isinstance(node, Var):
+        return Quaternion.from_real(t if node.name == "t" else params[node.name])
+    if isinstance(node, Neg):
+        return -reference(node.arg, t, params)
+    if isinstance(node, BinOp):
+        left = reference(node.left, t, params)
+        right = reference(node.right, t, params)
+        return {"+": lambda: left + right, "-": lambda: left - right,
+                "*": lambda: left * right, "/": lambda: left / right}[node.op]()
+    if isinstance(node, Pow):
+        base = reference(node.base, t, params)
+        out = Quaternion(1.0)
+        for _ in range(node.exponent):
+            out = out * base
+        return out
+    arg = reference(node.arg, t, params)
+    if node.fn == "exp":
+        return qexp(arg)
+    if arg.vec_norm() > REAL_ARG_TOL * max(1.0, abs(arg)):
+        raise DomainError(node.fn)
+    trig = math.cos if node.fn == "cos" else math.sin
+    return Quaternion.from_real(trig(arg.q0))
+
+
+LEAVES = st.one_of(
+    st.floats(-3, 3, allow_nan=False).map(Num),
+    st.sampled_from("ijk").map(Unit),
+    st.sampled_from("tp").map(Var))
+
+
+def _extend(children):
+    return st.one_of(
+        children.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+        st.builds(Pow, children, st.integers(0, 3)),
+        st.builds(Call, st.sampled_from(["exp", "cos", "sin"]), children))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(LEAVES, _extend, max_leaves=12),
+       st.floats(-2, 2, allow_nan=False), st.floats(-2, 2, allow_nan=False))
+def test_compiled_matches_reference(node, t, p):
+    params = {"p": p}
+    try:
+        expected = reference(node, t, params)
+    except (ArithmeticError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            evaluate(node, t, params)
+        return
+    got = evaluate(node, t, params)
+    if not all(math.isfinite(c) for c in expected.components()):
+        return  # Hamilton products turn 0 * inf into nan where real ones do not
+    # same operations in the same order: agreement is exact
+    assert got.components() == expected.components(), render(node)

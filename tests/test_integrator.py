@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from qfloquet.expressions import MatrixSpec
-from qfloquet.integrate import (IntegratorConfig, StepUnderflow,
-                                integrate, liouville_residual, trace_integral)
+from qfloquet.integrate import (IntegratorConfig, QuadratureFailure,
+                                StepUnderflow, integrate, liouville_residual,
+                                trace_integral)
 from qfloquet.qmatrix import QMatrix, allclose, expm, qdet
 from qfloquet.quaternion import DivisionByZero, J, K, Quaternion
 
@@ -67,6 +68,32 @@ def test_trace_integral_quadrature():
     # Re tr A = 1 for the growing system: integral over [0, pi] is pi
     assert trace_integral(growing_periodic_spec(), 0.0, math.pi) == \
         pytest.approx(math.pi, abs=1e-12)
+
+
+def test_trace_integral_closed_form_off_period():
+    # only the real parts of the diagonal count: Re tr A = cos t + cos 3t + 2t^2
+    spec = MatrixSpec.from_strings(
+        [["exp(i*t) + cos(3*t)", "j*t"], ["k", "2*t^2 - k*sin(t)"]])
+    a, b = 0.3, 2.9
+    exact = (math.sin(b) - math.sin(a) + (math.sin(3 * b) - math.sin(3 * a)) / 3
+             + 2 * (b ** 3 - a ** 3) / 3)
+    assert abs(trace_integral(spec, a, b) - exact) <= 1e-12
+
+
+def test_trace_integral_fails_loudly_on_a_pole():
+    spec = MatrixSpec.from_strings([["1/(t - 1)^2"]])
+    with pytest.raises(QuadratureFailure):
+        trace_integral(spec, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("name", ["growing", "defective", "marginal", "decaying"])
+def test_liouville_on_normal_form_trajectories(name, request):
+    # the [0, 2T] trajectories behind the reports; qdet reaches e^(4 pi) on
+    # the growing system, so the bound scales with the largest qdet
+    spec = request.getfixturevalue(f"periodic_{name}_spec")
+    traj = request.getfixturevalue(f"fd_{name}").trajectory
+    largest = max(qdet(M) for M in traj.states)
+    assert liouville_residual(traj, spec) <= 1e-7 * max(1.0, largest)
 
 
 def test_rk4_order_convergence():
