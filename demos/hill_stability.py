@@ -5,12 +5,13 @@ With quaternion coefficients the trace can sit quietly inside (-2, 2) while
 the equation is violently unstable; the squared Frobenius norm and the
 characteristic multipliers expose what the trace hides.  The three verdict
 channels are printed side by side, followed by the real specialization and a
-small parameter sweep.
+small parameter sweep integrated as one batch.
 """
 
 import math
 
-from qfloquet import HillProblem, analyze, classify_real, parse
+from qfloquet import (HillProblem, analyze, analyze_batch, classify_real,
+                      parse)
 from qfloquet.hill import k_matrix_diagnostics
 
 COEFFICIENTS = {
@@ -54,11 +55,13 @@ def main():
         print(f"  a = {source:>2}, T = {period:.5g}: {verdict}")
     print()
 
-    print("Sweep of a(t) = p + j cos(2t) + k sin(2t) over p:")
+    print("Sweep of a(t) = p + j cos(2t) + k sin(2t) over p, as one batch:")
     print(f"  {'p':>5} {'Re tr M(T)':>12} {'max |rho|':>10} verdict")
-    for p in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0):
-        source = f"{p!r} + j*cos(2*t) + k*sin(2*t)"
-        report = analyze(HillProblem(parse(source), math.pi))
+    node = parse("p + j*cos(2*t) + k*sin(2*t)", ("t", "p"))
+    grid = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0)
+    reports = analyze_batch([HillProblem(node, math.pi, {"p": p})
+                             for p in grid])
+    for p, report in zip(grid, reports):
         top = max(abs(v) for v in report.multipliers.expanded())
         print(f"  {p:>5.2g} {report.re_trace:>12.5g} {top:>10.5g} "
               f"{report.verdict_multipliers.kind.value}")

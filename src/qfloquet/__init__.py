@@ -18,8 +18,9 @@ from .qmatrix import (LogFailure, NonSquare, NotAnEigenvalue, OmegaViolation,
 from .expressions import (DomainError, EvalError, ExprSyntaxError, MatrixSpec,
                           UnknownIdentifier, compile_expr, evaluate, parse,
                           render)
-from .integrate import (IntegratorConfig, QuadratureFailure, StepUnderflow,
-                        Trajectory, integrate, liouville_residual,
+from .integrate import (IntegratorConfig, NonFiniteState, QuadratureFailure,
+                        StepBudgetExceeded, StepUnderflow, Trajectory,
+                        integrate, integrate_batch, liouville_residual,
                         trace_integral)
 from .floquet import (Evidence, FloquetData, NotPeriodic, PeriodicWitness,
                       PeriodicityViolation, Stability, StabilityVerdict,
@@ -30,6 +31,7 @@ from .floquet import (Evidence, FloquetData, NotPeriodic, PeriodicWitness,
                       multiplier_product_check, normal_form,
                       periodic_solutions)
 from .hill import (HillProblem, HillReport, NotRealCoefficient, analyze,
-                   classify_real, companion, k_matrix_diagnostics)
+                   analyze_batch, classify_real, companion,
+                   k_matrix_diagnostics)
 
 __version__ = "0.1.0"

@@ -20,17 +20,19 @@ from .expressions import (ExprSyntaxError, MatrixSpec, UnknownIdentifier,
 from .floquet import (NotPeriodic, PeriodicityViolation, classify_constant,
                       classify_periodic, exponent_sum_residual,
                       multiplier_product_check, normal_form)
-from .hill import HillProblem, NotRealCoefficient, analyze
-from .integrate import IntegratorConfig, QuadratureFailure, StepUnderflow
+from .hill import HillProblem, NotRealCoefficient, analyze, analyze_batch
+from .integrate import (IntegratorConfig, NonFiniteState, QuadratureFailure,
+                        StepBudgetExceeded, StepUnderflow)
 from .qmatrix import (LogFailure, NonSquare, OmegaViolation, PairingFailure,
                       QMatrix, RecoveryFailure, Singular, expm,
                       standard_eigenvalues)
 from .quaternion import DivisionByZero
 
-NUMERICAL_ERRORS = (Singular, StepUnderflow, QuadratureFailure,
-                    PeriodicityViolation, NotPeriodic, LogFailure,
-                    OmegaViolation, PairingFailure, RecoveryFailure,
-                    NotRealCoefficient, DivisionByZero, ArithmeticError)
+NUMERICAL_ERRORS = (Singular, StepUnderflow, StepBudgetExceeded,
+                    NonFiniteState, QuadratureFailure, PeriodicityViolation,
+                    NotPeriodic, LogFailure, OmegaViolation, PairingFailure,
+                    RecoveryFailure, NotRealCoefficient, DivisionByZero,
+                    ArithmeticError)
 CONFIG_ERRORS = (ExprSyntaxError, UnknownIdentifier, NonSquare, ValueError,
                  KeyError, json.JSONDecodeError)
 # largest grid a start/stop/step sweep may ask for
@@ -247,17 +249,18 @@ def run_periodic(config):
     }
 
 
-def run_hill(config, p_value=None):
+def _hill_coefficient(config, variables):
+    """a(t) parsed with the given variables, and the period."""
     if "period" not in config:
         raise ValueError("hill mode requires a period")
     source = config.get("a")
     if not source:
         raise ValueError("hill mode requires the coefficient expression --a")
-    if p_value is None:
-        node, params = parse(source), None
-    else:
-        node, params = parse(source, ("t", "p")), {"p": float(p_value)}
-    problem = HillProblem(node, float(config["period"]), params)
+    return parse(source, variables), float(config["period"])
+
+
+def run_hill(config):
+    problem = HillProblem(*_hill_coefficient(config, ("t",)))
     report = analyze(problem, _integrator_config(config))
     moduli = sorted(abs(v) for v in report.multipliers.expanded())
     return {
@@ -274,31 +277,49 @@ def run_hill(config, p_value=None):
     }
 
 
-def _sweep_point(config, p_value):
-    row = {"p": p_value}
-    try:
-        result = run_hill(config, p_value=p_value)
-        moduli = result["multiplier_moduli"]
-        row.update({
-            "re_trace": result["re_trace"],
-            "frob_sq": result["frob_sq"],
-            "abs_rho1": moduli[-1],
-            "abs_rho2": moduli[0],
-            "verdict_trace": result["verdict_trace"]["kind"],
-            "verdict_frobenius": result["verdict_frobenius"]["kind"],
-            "verdict_multipliers": result["verdict_multipliers"]["kind"],
-            "error": "",
-        })
-    except Exception as exc:  # per-point failures recorded in-row
-        row.update({"re_trace": "", "frob_sq": "", "abs_rho1": "",
-                    "abs_rho2": "", "verdict_trace": "", "verdict_frobenius": "",
-                    "verdict_multipliers": "", "error": f"{type(exc).__name__}: {exc}"})
-    return row
-
-
 SWEEP_COLUMNS = ("p", "re_trace", "frob_sq", "abs_rho1", "abs_rho2",
                  "verdict_trace", "verdict_frobenius", "verdict_multipliers",
                  "error")
+
+
+def _sweep_row(p_value, outcome):
+    """The sweep row of one grid point from its HillReport or its failure."""
+    if isinstance(outcome, Exception):
+        return {"p": p_value, **dict.fromkeys(SWEEP_COLUMNS[1:-1], ""),
+                "error": f"{type(outcome).__name__}: {outcome}"}
+    moduli = sorted(abs(v) for v in outcome.multipliers.expanded())
+    return {"p": p_value,
+            "re_trace": outcome.re_trace,
+            "frob_sq": outcome.frob_sq,
+            "abs_rho1": moduli[-1],
+            "abs_rho2": moduli[0],
+            "verdict_trace": outcome.verdict_trace.kind.value,
+            "verdict_frobenius": outcome.verdict_frobenius.kind.value,
+            "verdict_multipliers": outcome.verdict_multipliers.kind.value,
+            "error": ""}
+
+
+def _sweep_rows(config, grid):
+    """Rows of the grid points, integrated as one batch.  Each point's
+    failure, configuration errors included, lands in its own row."""
+    try:
+        node, period = _hill_coefficient(config, ("t", "p"))
+        cfg = _integrator_config(config)
+    except Exception as exc:  # per-point failures recorded in-row
+        return [_sweep_row(p, exc) for p in grid]
+    outcomes, problems = {}, {}
+    for index, p in enumerate(grid):
+        try:
+            problems[index] = HillProblem(node, period, {"p": p})
+        except Exception as exc:  # per-point failures recorded in-row
+            outcomes[index] = exc
+    outcomes.update(zip(problems, analyze_batch(list(problems.values()), cfg)))
+    return [_sweep_row(p, outcomes[index]) for index, p in enumerate(grid)]
+
+
+def _sweep_point(config, p_value):
+    """The row of one grid point: a batch of one."""
+    return _sweep_rows(config, [p_value])[0]
 
 
 def _sweep_range(start, stop, step):
@@ -328,10 +349,14 @@ def run_sweep(config):
         grid = []
     jobs = min(int(config.get("jobs", 1)), len(grid), os.cpu_count() or 1)
     if jobs > 1:
+        # one batch per worker, on contiguous runs of the grid
+        bounds = [len(grid) * k // jobs for k in range(jobs + 1)]
+        chunks = [grid[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_point, [config] * len(grid), grid))
+            rows = [row for chunk in pool.map(_sweep_rows, [config] * jobs,
+                                              chunks) for row in chunk]
     else:
-        rows = [_sweep_point(config, p) for p in grid]
+        rows = _sweep_rows(config, grid)
     return {"grid": grid, "rows": rows}
 
 

@@ -18,14 +18,22 @@ The parser bounds its input: an expression may nest at most MAX_DEPTH
 levels (parentheses, calls, unary minus and each operator of a chain count)
 and an exponent may not exceed MAX_EXPONENT; either breach is an
 ExprSyntaxError.  Evaluation goes through a compile step: `compile_expr`
-turns an AST once into a closure on (q0, q1, q2, q3) tuples of floats, with
+turns an AST once into a closure returning (q0, q1, q2, q3) tuples, with
 every variable-free subtree folded to its value and real-valued subtrees
-kept as plain floats.  `MatrixSpec` compiles its entries when it is built;
+kept as plain reals.  `MatrixSpec` compiles its entries when it is built;
 `evaluate` compiles and calls in one step.
+
+A compiled closure takes a float time and float parameters, or numpy arrays
+of times and parameter values, one element per member of a batch; its leaf
+functions (cos, sin, exp, inverses, the real-argument check) use `math` on
+floats and numpy on arrays, so an array element gets the same value in any
+batch.  `MatrixSpec.adjoint` evaluates a specification straight into the
+complex adjoint form the integrator steps, for one time or a batch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -34,8 +42,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quaternion import (DivisionByZero, Quaternion, exp_components,
-                         inverse_components, product)
+from .qmatrix import QMatrix, adjoint
+from .quaternion import (DivisionByZero, Quaternion, any_zero,
+                         exp_components, hypot, inverse_components, product,
+                         real_cos, real_exp, real_sin)
 
 UNIT_NAMES = {"i": Quaternion(0, 1, 0, 0),
               "j": Quaternion(0, 0, 1, 0),
@@ -254,7 +264,8 @@ def parse(src, variables=("t",)):
 #
 # A compiled subtree is a function of (t, params).  Subtrees that are real by
 # construction (numbers, variables, cos/sin, and + - * / ^ of real operands)
-# return floats; every other subtree returns a (q0, q1, q2, q3) tuple.  A
+# return reals (floats, or arrays of them for array arguments); every other
+# subtree returns a (q0, q1, q2, q3) tuple of reals.  A
 # subtree without a variable is folded to its value once; when folding raises
 # (1/0, cos(i)), the subtree stays unfolded so the error surfaces at evaluation.
 
@@ -277,7 +288,7 @@ def _scale_right(a, r):
 def _real_inverse(y):
     # the real case of inverse_components, with the same rounding
     n2 = y * y
-    if n2 == 0.0:
+    if any_zero(n2):
         raise DivisionByZero("inverse of zero quaternion")
     return y / n2
 
@@ -325,16 +336,24 @@ def _power(n, real):
     return power
 
 
+def _first_member(a, mask):
+    """The quaternion of the first element where `mask` holds."""
+    index = int(np.argmax(mask))
+    return Quaternion(*(float(np.broadcast_to(c, np.shape(mask)).flat[index])
+                        for c in a))
+
+
 def _real_argument(fn, trig):
     def checked(a):
-        if math.hypot(a[1], a[2], a[3]) > REAL_ARG_TOL * max(1.0, math.hypot(*a)):
+        bad = hypot(a[1], a[2], a[3]) > REAL_ARG_TOL * np.maximum(1.0, hypot(*a))
+        if np.any(bad):
             raise DomainError(f"{fn} requires a real argument, got "
-                              f"{Quaternion(*a)}")
+                              f"{_first_member(a, bad)}")
         return trig(a[0])
     return checked
 
 
-_TRIG = {"cos": math.cos, "sin": math.sin}
+_TRIG = {"cos": real_cos, "sin": real_sin}
 
 
 def _variable(name):
@@ -345,7 +364,7 @@ def _variable(name):
         value = params.get(name) if params else None
         if value is None:
             raise EvalError(f"no value bound for variable {name!r}")
-        return float(value)
+        return value if isinstance(value, np.ndarray) else float(value)
     return lookup
 
 
@@ -406,7 +425,7 @@ def _compile(node):
     if isinstance(node, Call):
         arg = _compile(node.arg)
         if node.fn == "exp":
-            return _apply(math.exp if arg.real else exp_components, arg.real,
+            return _apply(real_exp if arg.real else exp_components, arg.real,
                           arg)
         trig = _TRIG[node.fn]
         return _apply(trig if arg.real else _real_argument(node.fn, trig),
@@ -438,7 +457,9 @@ def compile_expr(node):
     """Compile an AST once into f(t, params) -> (q0, q1, q2, q3).
 
     `params` maps extra variable names to reals (or is None).  Call the
-    result at each time instead of re-walking the AST with `evaluate`.
+    result at each time instead of re-walking the AST with `evaluate`.  With
+    an array of times, and parameter values as arrays of the same shape, it
+    returns arrays: one element per time.
     """
     return _quaternion_fn(_compile(node))
 
@@ -506,10 +527,19 @@ def quaternion_literal(q):
 # -- matrix specifications ----------------------------------------------------
 
 
+def _flat_adjoint(components):
+    """The complex adjoint of a square matrix, given as its n*n*4 quaternion
+    components, seen as a flat float array."""
+    n = math.isqrt(components.size // 4)
+    return adjoint(QMatrix(components.reshape(n, n, 4))).view(float).ravel()
+
+
 class MatrixSpec:
     """Square grid of TimeExpr entries defining A(t), optionally periodic.
 
     The entries are compiled once, when the specification is built.
+    `evaluate` gives A(t) as a QMatrix; `adjoint` gives its complex adjoint,
+    for one time or for a batch.
     """
 
     def __init__(self, entries, period=None):
@@ -521,9 +551,10 @@ class MatrixSpec:
         if period is not None and not period > 0:
             raise ValueError("period must be positive")
         self.period = period
-        codes = [_compile(entry) for row in self.entries for entry in row]
-        self._entry_fns = [_quaternion_fn(code) for code in codes]
-        self._diagonal_fns = [_scalar_part_fn(codes[m * (self.n + 1)])
+        self._codes = [_compile(entry) for row in self.entries
+                       for entry in row]
+        self._entry_fns = [_quaternion_fn(code) for code in self._codes]
+        self._diagonal_fns = [_scalar_part_fn(self._codes[m * (self.n + 1)])
                               for m in range(self.n)]
 
     @staticmethod
@@ -539,10 +570,50 @@ class MatrixSpec:
         return MatrixSpec(entries, period)
 
     def evaluate(self, t, params=None):
-        from .qmatrix import QMatrix
         t = float(t)
         values = [f(t, params) for f in self._entry_fns]
         return QMatrix(np.array(values).reshape(self.n, self.n, 4))
+
+    @functools.cached_property
+    def _adjoint_layout(self):
+        """(varying entry functions, base, basis) for `adjoint`.
+
+        The adjoint is linear in the entries: seen as a flat float array, it
+        is the adjoint of the constant entries (base) plus the components of
+        the varying entries times the adjoints of unit entries (basis rows).
+        The basis holds 0 and +-1 with one nonzero per slot, so the product
+        is exact and each member of a batch gets the same value in a batch
+        of any size.
+        """
+        constant = np.zeros((self.n * self.n, 4))
+        varying, units = [], []
+        for index, (code, fn) in enumerate(zip(self._codes, self._entry_fns)):
+            if code.value is None:
+                varying.append(fn)
+                units += [4 * index + c for c in range(4)]
+            else:
+                constant[index] = fn(0.0, None)
+        base = _flat_adjoint(constant)
+        basis = np.array([_flat_adjoint(unit)
+                          for unit in np.eye(constant.size)[units]])
+        return varying, base, basis.reshape(len(units), base.size)
+
+    def adjoint(self, t, params=None):
+        """Complex adjoint of A(t) (see `qmatrix.adjoint`), shape (2n, 2n).
+
+        With an array of times, and each parameter bound to an array of the
+        same shape (one value per member of a batch), the result has shape
+        t.shape + (2n, 2n).
+        """
+        varying, base, basis = self._adjoint_layout
+        shape = np.shape(t)
+        values = np.empty((len(basis),) + shape)
+        for column, fn in enumerate(varying):
+            for offset, value in enumerate(fn(t, params)):
+                values[4 * column + offset] = value
+        flat = values.reshape(len(values), math.prod(shape)).T @ basis
+        flat += base
+        return flat.view(complex).reshape(shape + (2 * self.n, 2 * self.n))
 
     def re_trace(self, t, params=None):
         """Re tr A(t), from the diagonal entries alone."""

@@ -2,10 +2,12 @@
 
 The equation is analyzed through its 2x2 companion system.  Three verdict
 channels are reported side by side: the real part of the monodromy trace
-(inconclusive inside (-2, 2) for quaternion coefficients), the squared
-Frobenius norm (> 2 forces instability), and the characteristic multipliers
-(authoritative).  A real-coefficient specialization reproduces the classical
-trace classification.
+(inconclusive inside (-2, 2) for quaternion coefficients, and on the band
+around +-2 unless M(T) = +-I), the squared Frobenius norm (> 2 forces
+instability), and the characteristic multipliers (authoritative).  A
+real-coefficient specialization reproduces the classical trace
+classification.  `analyze_batch` analyzes the points of a parameter grid
+(a stability chart) with one batched integration.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass, field
 from .expressions import MatrixSpec, Neg, Num, compile_expr, grid_max
 from .floquet import (COEFF_PERIODICITY_TOL, Evidence, Stability,
                       StabilityVerdict, characteristic_multipliers,
-                      classify_multipliers, monodromy)
+                      classify_multipliers)
+from .integrate import integrate, integrate_batch
 from .qmatrix import QMatrix, standard_eigenvalues
 
 # band half-width for trace comparisons against +-2
@@ -33,6 +36,7 @@ class NotRealCoefficient(ValueError):
 
 @dataclass(frozen=True)
 class HillProblem:
+    """u'' + a(t) u = 0; building one checks that a(t) has the period."""
     a: object           # TimeExpr for the coefficient a(t)
     period: float
     # values of variables in a(t) other than t; a dict, so kept out of hash
@@ -69,10 +73,11 @@ def companion(problem):
     return MatrixSpec(entries, period=problem.period)
 
 
-def _near_identity_verdict(M_T, sign, re_trace):
+def _near_identity_verdict(M_T, sign, re_trace, otherwise):
+    """STABLE when M(T) = sign * I within IDENTITY_TOL, else `otherwise`."""
     target = QMatrix.identity(2) * sign
     distance = (M_T - target).sum_norm()
-    kind = Stability.STABLE if distance <= IDENTITY_TOL else Stability.UNSTABLE
+    kind = Stability.STABLE if distance <= IDENTITY_TOL else otherwise
     evidence = (
         Evidence(complex(re_trace), "Re(tr M(T))", 2.0, abs(re_trace) - 2.0),
         Evidence(complex(sign), f"||M(T) - {sign:+d}I||", IDENTITY_TOL, distance),
@@ -81,10 +86,13 @@ def _near_identity_verdict(M_T, sign, re_trace):
 
 
 def _trace_verdict(re_trace, M_T):
+    # on the band around +-2 with M(T) != +-I, the multipliers of a
+    # quaternion M(T) may still lie on the unit circle (a real M(T) would be
+    # a Jordan block), so the trace alone decides nothing there
     if abs(re_trace - 2.0) <= TRACE_TOL:
-        return _near_identity_verdict(M_T, +1, re_trace)
+        return _near_identity_verdict(M_T, +1, re_trace, Stability.UNDETERMINED)
     if abs(re_trace + 2.0) <= TRACE_TOL:
-        return _near_identity_verdict(M_T, -1, re_trace)
+        return _near_identity_verdict(M_T, -1, re_trace, Stability.UNDETERMINED)
     evidence = (Evidence(complex(re_trace), "Re(tr M(T))", 2.0,
                          abs(re_trace) - 2.0),)
     if abs(re_trace) > 2.0:
@@ -113,10 +121,51 @@ def k_matrix_diagnostics(M_T):
     return kappas[0], kappas[1], residual
 
 
+def _monodromy(problem, cfg):
+    # HillProblem has already checked the period of a(t)
+    return integrate(companion(problem), 0.0, problem.period,
+                     QMatrix.identity(2), cfg, params=problem.params).final
+
+
 def analyze(problem, cfg=None):
     """Integrate the companion system over one period and report all three
     verdict channels."""
-    M_T = monodromy(companion(problem), cfg, problem.params)
+    return _report(_monodromy(problem, cfg))
+
+
+def analyze_batch(problems, cfg=None):
+    """`analyze` for problems that share a(t) and the period and differ in
+    their parameter values, integrated as one batch with each parameter bound
+    to an array of the members' values.
+
+    Returns one entry per problem: its HillReport, or the exception that
+    ended it; a failed member leaves the others unchanged.  An entry is the
+    same, bit for bit, in a batch of any size.
+    """
+    if not problems:
+        return []
+    first = problems[0]
+    if any(p.a != first.a or p.period != first.period
+           or (p.params or {}).keys() != (first.params or {}).keys()
+           for p in problems):
+        raise ValueError("a batch must share a(t), the period and the "
+                         "parameter names")
+    params = {name: [p.params[name] for p in problems]
+              for name in first.params or {}}
+    outcomes = integrate_batch(companion(first), 0.0, first.period,
+                               QMatrix.identity(2), params, cfg)
+    reports = []
+    for outcome in outcomes:
+        if not isinstance(outcome, Exception):
+            try:
+                outcome = _report(outcome)
+            except (ArithmeticError, ValueError) as exc:
+                outcome = exc
+        reports.append(outcome)
+    return reports
+
+
+def _report(M_T):
     re_trace = M_T.re_trace()
     frob_sq = M_T.frobenius_sq()
     multipliers = characteristic_multipliers(M_T)
@@ -145,12 +194,12 @@ def classify_real(problem, cfg=None):
     if worst > REAL_COEFF_TOL:
         raise NotRealCoefficient(
             f"coefficient has vector part up to {worst:.3e}")
-    M_T = monodromy(companion(problem), cfg, problem.params)
+    M_T = _monodromy(problem, cfg)
     trace = M_T.re_trace()
     if abs(trace - 2.0) <= TRACE_TOL:
-        return _near_identity_verdict(M_T, +1, trace)
+        return _near_identity_verdict(M_T, +1, trace, Stability.UNSTABLE)
     if abs(trace + 2.0) <= TRACE_TOL:
-        return _near_identity_verdict(M_T, -1, trace)
+        return _near_identity_verdict(M_T, -1, trace, Stability.UNSTABLE)
     evidence = (Evidence(complex(trace), "tr M(T)", 2.0, abs(trace) - 2.0),)
     if abs(trace) > 2.0:
         return StabilityVerdict(Stability.UNSTABLE, evidence)

@@ -6,6 +6,9 @@ conj(A1)]].  The embedding is an algebra homomorphism, so determinants,
 eigenvalues, exponentials and logarithms of quaternion matrices are computed
 on the adjoint and mapped back.  Right eigenvalues are reported through their
 standard (complex, nonnegative imaginary part) representatives.
+
+SciPy is imported by `expm` and the principal logarithm, on first use, so
+programs that never call them (Hill analyses, sweeps) do not load it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .quaternion import Quaternion
 
@@ -307,15 +309,16 @@ def from_adjoint(chi, project=True):
     """Map a quaternion-structured 2n x 2n complex matrix back to a QMatrix."""
     if project:
         chi = project_omega(chi)
-    n = chi.shape[0] // 2
-    a1 = chi[:n, :n]
-    a2 = chi[:n, n:]
-    arr = np.zeros((n, n, 4))
-    arr[..., 0] = a1.real
-    arr[..., 1] = a1.imag
-    arr[..., 2] = a2.real
-    arr[..., 3] = a2.imag
-    return QMatrix(arr)
+    return QMatrix(quaternion_data(chi))
+
+
+def quaternion_data(chi):
+    """(..., n, n, 4) quaternion components of a (..., 2n, 2n) stack of
+    adjoints, read from their top block row [A1, A2]."""
+    n = chi.shape[-1] // 2
+    a1 = chi[..., :n, :n]
+    a2 = chi[..., :n, n:]
+    return np.stack([a1.real, a1.imag, a2.real, a2.imag], axis=-1)
 
 
 def embed_vector(x):
@@ -596,6 +599,7 @@ def expm(A):
     """Quaternion matrix exponential via the adjoint embedding."""
     if not A.is_square():
         raise NonSquare("expm requires a square matrix")
+    import scipy.linalg
     chi_e = scipy.linalg.expm(adjoint(A))
     res = omega_residual(chi_e)
     if res > OMEGA_TOL:
@@ -609,6 +613,7 @@ def _log_residual_ok(B, C, tol=LOG_RESID_TOL):
 
 
 def _principal_log(C):
+    import scipy.linalg
     chi_l = scipy.linalg.logm(adjoint(C))
     if omega_residual(chi_l) > OMEGA_TOL:
         return None

@@ -3,12 +3,21 @@
 Quaternions q = q0 + q1*i + q2*j + q3*k over float64 components, with
 Hamilton's product rules (ij = -ji = k and cyclic).  Values are immutable;
 every operation returns a fresh quaternion.
+
+The same operations exist on (q0, q1, q2, q3) tuples, whose components are
+floats or numpy arrays of floats: compiled expressions evaluate one time on
+floats and a batch of times and parameters on arrays.  The leaf functions
+below pick `math` for floats, which is fastest on scalars, and numpy for
+arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # sinc branch threshold: below this vector-part magnitude the closed-form
 # sin|v|/|v| is replaced by its series to avoid cancellation
@@ -162,7 +171,43 @@ def qexp(q):
     return Quaternion(*exp_components(_coerce(q).components()))
 
 
-# -- the same operations on (q0, q1, q2, q3) tuples of floats ----------------
+# -- leaves on floats or numpy arrays ------------------------------------------
+
+
+def _elementwise(scalar, array):
+    """A leaf function: `scalar` (from math) on a float, `array` (from numpy)
+    on an array of floats."""
+    def leaf(x):
+        return scalar(x) if isinstance(x, float) else array(x)
+    return leaf
+
+
+real_exp = _elementwise(math.exp, np.exp)
+real_cos = _elementwise(math.cos, np.cos)
+real_sin = _elementwise(math.sin, np.sin)
+
+
+def hypot(*xs):
+    """Euclidean norm of the arguments, elementwise on arrays."""
+    if all(isinstance(x, float) for x in xs):
+        return math.hypot(*xs)
+    return functools.reduce(np.hypot, xs)
+
+
+def any_zero(x):
+    """True when x, or any element of the array x, is 0."""
+    return x == 0.0 if isinstance(x, float) else bool(np.any(x == 0.0))
+
+
+def _sinc(r):
+    # sin(r)/r, switching to its series below SINC_EPS
+    if isinstance(r, float):
+        return 1.0 - r * r / 6.0 if r < SINC_EPS else math.sin(r) / r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(r < SINC_EPS, 1.0 - r * r / 6.0, np.sin(r) / r)
+
+
+# -- the same operations on (q0, q1, q2, q3) tuples --------------------------
 # Quaternion's operators delegate here, and compiled expressions call these
 # directly, so each formula exists once.
 
@@ -178,10 +223,11 @@ def product(a, b):
 
 
 def inverse_components(a):
-    """conj(a) / |a|^2; raises DivisionByZero when |a|^2 is 0."""
+    """conj(a) / |a|^2; raises DivisionByZero when |a|^2 is 0 (for arrays,
+    anywhere)."""
     a0, a1, a2, a3 = a
     n2 = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
-    if n2 == 0.0:
+    if any_zero(n2):
         raise DivisionByZero("inverse of zero quaternion")
     return (a0 / n2, -a1 / n2, -a2 / n2, -a3 / n2)
 
@@ -193,13 +239,10 @@ def exp_components(a):
     the sin|v|/|v| factor switches to its series below SINC_EPS.
     """
     a0, a1, a2, a3 = a
-    r = math.hypot(a1, a2, a3)
-    if r < SINC_EPS:
-        s = 1.0 - r * r / 6.0
-    else:
-        s = math.sin(r) / r
-    ea = math.exp(a0)
-    return (ea * math.cos(r), ea * s * a1, ea * s * a2, ea * s * a3)
+    r = hypot(a1, a2, a3)
+    s = _sinc(r)
+    ea = real_exp(a0)
+    return (ea * real_cos(r), ea * s * a1, ea * s * a2, ea * s * a3)
 
 
 def similar(p, q, tol=SIMILAR_TOL):

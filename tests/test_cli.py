@@ -9,6 +9,8 @@ import pytest
 
 from qfloquet import cli
 from qfloquet.cli import main
+from qfloquet.expressions import parse
+from qfloquet.hill import HillProblem, analyze
 
 GROWING_ENTRIES = ["1", "1", ";", "0", "i + 2*exp(2*i*t)*j"]
 HILL_COEFF = "2 + j*cos(2*t)^2 + k*sin(2*t)"
@@ -125,6 +127,52 @@ def test_sweep_range_is_indexed(monkeypatch):
     grid = cli.run_sweep(config)["grid"]
     assert grid == [-1 + index * (4 / 15) for index in range(16)]
     assert grid[-1] == 3.0
+
+
+def sweep_rows(capsys, grid, *extra):
+    assert run_cli(["sweep", "--period", "pi", "--a", "p + j*cos(2*t)",
+                    f"--p-grid={grid}", "--format", "json", *extra]) == 0
+    return json.loads(capsys.readouterr().out)["results"]["rows"]
+
+
+def test_sweep_failing_point_fails_only_its_row(capsys):
+    # p = nan passes the periodicity grid check and fails in the batch
+    rows = sweep_rows(capsys, "1,nan,2")
+    assert [bool(row["error"]) for row in rows] == [False, True, False]
+    assert rows[1]["error"].startswith("NonFiniteState")
+    assert [rows[0], rows[2]] == sweep_rows(capsys, "1,2")
+
+
+def test_sweep_rows_match_analyze(capsys):
+    rows = sweep_rows(capsys, "-1,0.5,1,2.5")
+    node = parse("p + j*cos(2*t)", ("t", "p"))
+    for row in rows:
+        report = analyze(HillProblem(node, math.pi, {"p": row["p"]}))
+        moduli = sorted(abs(v) for v in report.multipliers.expanded())
+        expected = {"re_trace": report.re_trace, "frob_sq": report.frob_sq,
+                    "abs_rho1": moduli[-1], "abs_rho2": moduli[0],
+                    "verdict_multipliers": report.verdict_multipliers.kind.value}
+        assert cli._numeric_match(expected, {k: row[k] for k in expected})
+
+
+def test_sweep_leaves_scipy_linalg_unloaded():
+    code = ("import sys\n"
+            "from qfloquet import cli\n"
+            "code = cli.main(['sweep', '--period', 'pi', '--a', 'p + j*cos(2*t)',"
+            " '--p-grid=0,1', '--format', 'csv'])\n"
+            "print(code, 'scipy.linalg' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_unbounded_integration_exits_3():
+    # M' = 1e5 M overflows within one period; this used to run for minutes
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfloquet.cli", "periodic", "--period", "1",
+         "--entry", "1e5"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert "numerical failure" in proc.stderr
 
 
 @pytest.mark.parametrize("step", [0, -0.5])

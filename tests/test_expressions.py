@@ -10,6 +10,7 @@ from qfloquet.expressions import (MAX_DEPTH, MAX_EXPONENT, REAL_ARG_TOL,
                                   ExprSyntaxError, MatrixSpec, Neg, Num, Pow,
                                   Unit, UnknownIdentifier, Var, compile_expr,
                                   evaluate, parse, quaternion_literal, render)
+from qfloquet.qmatrix import adjoint
 from qfloquet.quaternion import DivisionByZero, I, J, K, Quaternion, qexp
 
 
@@ -135,6 +136,33 @@ def test_constant_errors_wait_for_evaluation():
             f(0.5, None)
         with pytest.raises(error):
             spec.evaluate(0.5)
+
+
+def test_array_evaluation_matches_float_evaluation():
+    # one time and parameter per element; numpy's exp may differ from libm's
+    # in the last bit, so elements agree to rounding
+    spec = MatrixSpec.from_strings(
+        [["k/2 + p", "exp(-2*i*t*p) * exp(j*p)"],
+         ["3", "i + 2*j*cos(2*t) + k*sin(2*t)/(1 + p^2)"]],
+        variables=("t", "p"))
+    t = np.array([[0.0, 0.4], [1.3, 2.9]])
+    p = np.array([0.5, -1.5])
+    batch = spec.adjoint(t, {"p": p})
+    assert batch.shape == (2, 2, 4, 4)
+    for index in np.ndindex(t.shape):
+        single = adjoint(spec.evaluate(t[index], {"p": p[index[1]]}))
+        assert np.allclose(batch[index], single, rtol=1e-14, atol=1e-14)
+    assert np.array_equal(spec.adjoint(0.4, {"p": 0.5}),
+                          adjoint(spec.evaluate(0.4, {"p": 0.5})))
+
+
+def test_array_evaluation_errors():
+    with pytest.raises(DivisionByZero):
+        compile_expr(parse("1/(t - 1)"))(np.array([0.0, 1.0]), None)
+    # the message names the first element whose argument is not real
+    f = compile_expr(parse("cos(p*j*t)", ("t", "p")))
+    with pytest.raises(DomainError, match="got 2j"):
+        f(np.array([0.0, 1.0, 3.0]), {"p": np.array([5.0, 2.0, 1.0])})
 
 
 def test_parameter_evaluation():

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfloquet.expressions import parse
 from qfloquet.floquet import Stability
 from qfloquet.hill import (HillProblem, NotRealCoefficient, analyze,
-                           classify_real, companion, k_matrix_diagnostics)
+                           analyze_batch, classify_real, companion,
+                           k_matrix_diagnostics)
 from qfloquet.qmatrix import QMatrix, _complete_unitary, qdet
 from qfloquet.quaternion import J, Quaternion
 
@@ -90,6 +93,18 @@ def test_multiplier_trace_constraint(hill_report_inconclusive,
         assert moduli[0] * moduli[1] == pytest.approx(1.0, abs=1e-5)
 
 
+def random_hill_family(count=12, seed=7):
+    """a(t) = c0 + c1 j cos 2t + c2 k sin 2t with seeded c, then a case whose
+    Re tr M(T) = 1.999999995 lies on the band around 2 with M(T) != I."""
+    rng = np.random.default_rng(seed)
+    sources = []
+    for _ in range(count):
+        c0 = float(rng.uniform(-1.0, 4.0))
+        c1, c2 = (float(c) for c in rng.uniform(-1.0, 1.0, 2))
+        sources.append(f"{c0!r} + {c1!r}*j*cos(2*t) + {c2!r}*k*sin(2*t)")
+    return sources + ["400 + j*cos(2*t)"]
+
+
 def test_unstable_channels_imply_multiplier_instability(
         hill_report_inconclusive, hill_report_unstable,
         hill_report_frobenius):
@@ -98,6 +113,15 @@ def test_unstable_channels_imply_multiplier_instability(
         if (r.verdict_trace.kind == Stability.UNSTABLE
                 or r.verdict_frobenius.kind == Stability.UNSTABLE):
             assert r.verdict_multipliers.kind == Stability.UNSTABLE
+    # the trace channel on the random family too; the Frobenius channel says
+    # unstable on stable members of it, a known defect (ROADMAP item 5)
+    for source in random_hill_family():
+        r = analyze(HillProblem(parse(source), math.pi))
+        if r.verdict_trace.kind == Stability.UNSTABLE:
+            assert r.verdict_multipliers.kind == Stability.UNSTABLE
+    assert r.verdict_trace.kind == Stability.UNDETERMINED
+    assert abs(r.re_trace - 2.0) <= 1e-6
+    assert r.verdict_multipliers.kind == Stability.STABLE
 
 
 def test_k_matrix_identity():
@@ -183,3 +207,52 @@ def test_real_specialization_agrees_with_multipliers():
 def test_hill_problem_requires_periodic_coefficient():
     with pytest.raises(ValueError):
         HillProblem(parse("cos(t)"), math.pi)
+
+
+# pi-periodic terms in t and p that reach every array leaf: cos, sin, real
+# and quaternion exp, real division, and the real-argument check
+BATCH_TERMS = ("p", "cos(2*t)", "p*sin(2*t)", "p^2*cos(4*t)",
+               "exp(p*sin(2*t))", "exp(j*p*cos(2*t))",
+               "1/(2 + p^2 + cos(2*t))", "cos(2*t*exp(0*i))")
+
+
+@st.composite
+def batch_sources(draw):
+    terms = [f"{draw(st.floats(-2.0, 2.0))!r}*"
+             f"{draw(st.sampled_from(('', 'i*', 'j*', 'k*')))}"
+             f"{draw(st.sampled_from(BATCH_TERMS))}"
+             for _ in range(draw(st.integers(1, 3)))]
+    return "1 + " + " + ".join(terms)
+
+
+def _outcome_key(outcome):
+    if isinstance(outcome, Exception):
+        return repr(outcome)
+    return outcome.M_T.data.tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(source=batch_sources(),
+       grid=st.lists(st.floats(-1.0, 3.0), min_size=1, max_size=5),
+       cuts=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_batch_rows_equal_one_member_batches(source, grid, cuts):
+    node = parse(source, ("t", "p"))
+    problems = [HillProblem(node, math.pi, {"p": p}) for p in grid]
+    whole = analyze_batch(problems)
+    chunked, start = [], 0
+    for end, cut in enumerate(cuts[:len(grid) - 1], 1):
+        if cut:
+            chunked += analyze_batch(problems[start:end])
+            start = end
+    chunked += analyze_batch(problems[start:])
+    alone = [analyze_batch([problem])[0] for problem in problems]
+    keys = [_outcome_key(outcome) for outcome in alone]
+    assert [_outcome_key(outcome) for outcome in whole] == keys
+    assert [_outcome_key(outcome) for outcome in chunked] == keys
+
+
+def test_batch_requires_a_shared_coefficient():
+    a, b = parse("p + j*cos(2*t)", ("t", "p")), parse("p", ("t", "p"))
+    with pytest.raises(ValueError):
+        analyze_batch([HillProblem(a, math.pi, {"p": 1.0}),
+                       HillProblem(b, math.pi, {"p": 1.0})])

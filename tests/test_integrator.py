@@ -1,16 +1,21 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from qfloquet.expressions import MatrixSpec
-from qfloquet.integrate import (IntegratorConfig, QuadratureFailure,
-                                StepUnderflow, integrate, liouville_residual,
-                                trace_integral)
+from qfloquet.integrate import (IntegratorConfig, NonFiniteState,
+                                QuadratureFailure, StepBudgetExceeded,
+                                StepUnderflow, integrate, integrate_batch,
+                                liouville_residual, trace_integral)
 from qfloquet.qmatrix import QMatrix, allclose, expm, qdet
 from qfloquet.quaternion import DivisionByZero, J, K, Quaternion
 
 from conftest import CONST_DECAYING_2X2
+
+# the module, which the package's `integrate` function shadows as an attribute
+integrate_module = importlib.import_module("qfloquet.integrate")
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -162,3 +167,52 @@ def test_shape_validation():
         integrate(spec, 0.0, 1.0, QMatrix.identity(3))
     with pytest.raises(ValueError):
         integrate(spec, 1.0, 1.0, QMatrix.identity(2))
+
+
+def test_liouville_relative_to_expected_determinant(fd_growing,
+                                                    periodic_growing_spec):
+    # qdet grows to e^(4 pi) over [0, 2 pi]; each deviation is measured
+    # against the determinant the volume law expects at that sample
+    traj = fd_growing.trajectory
+    assert liouville_residual(traj, periodic_growing_spec) <= 1e-7
+
+
+def test_step_budget_fails_loudly(monkeypatch):
+    monkeypatch.setattr(integrate_module, "MAX_STEPS", 40)
+    with pytest.raises(StepBudgetExceeded):
+        integrate(growing_periodic_spec(), 0.0, math.pi, QMatrix.identity(2))
+
+
+def test_non_finite_state_fails_loudly():
+    spec = MatrixSpec.from_strings([["p"]], variables=("t", "p"))
+    with pytest.raises(NonFiniteState):
+        integrate(spec, 0.0, 1.0, QMatrix.identity(1), params={"p": math.nan})
+    with pytest.raises(NonFiniteState):
+        integrate(MatrixSpec.from_strings([["1"]]), 0.0, 1.0,
+                  QMatrix.from_entries([[math.inf]]))
+    # fixed steps accept every step, so the state overflows mid-way
+    with pytest.raises(NonFiniteState):
+        integrate(MatrixSpec.from_strings([["1000"]]), 0.0, 100.0,
+                  QMatrix.identity(1), IntegratorConfig(method="rk4",
+                                                        rk4_step=0.5))
+
+
+def test_batch_member_failures_stay_in_their_rows():
+    # 1/(t - p) at t = 0 divides by zero for p = 0 only; p = nan makes a
+    # non-finite state; the other members integrate as if alone
+    spec = MatrixSpec.from_strings([["1/(t - p)"]], variables=("t", "p"))
+    grid = [5.0, 0.0, 6.0, math.nan]
+    outcomes = integrate_batch(spec, 0.0, 1.0, QMatrix.identity(1),
+                               {"p": grid})
+    assert isinstance(outcomes[1], DivisionByZero)
+    assert isinstance(outcomes[3], NonFiniteState)
+    for index in (0, 2):
+        (alone,) = integrate_batch(spec, 0.0, 1.0, QMatrix.identity(1),
+                                   {"p": [grid[index]]})
+        assert np.array_equal(outcomes[index].data, alone.data)
+        single = integrate(spec, 0.0, 1.0, QMatrix.identity(1),
+                           params={"p": grid[index]}).final
+        assert (outcomes[index] - single).sum_norm() <= 1e-12
+        # M(1) = (p - 1) / p for M' = M / (t - p), M(0) = 1
+        assert outcomes[index][0, 0].q0 == pytest.approx(
+            (grid[index] - 1.0) / grid[index], rel=1e-9)
