@@ -2,8 +2,9 @@
 
 For real a(t) the trace of the monodromy matrix settles stability outright.
 With quaternion coefficients the trace can sit quietly inside (-2, 2) while
-the equation is violently unstable; the squared Frobenius norm and the
-characteristic multipliers expose what the trace hides.  The three verdict
+the equation is violently unstable; the Frobenius channel (the traces of
+powers of M(T), beside the squared Frobenius norm) and the characteristic
+multipliers expose what the trace hides.  The three verdict
 channels are printed side by side, followed by the real specialization and a
 small parameter sweep integrated as one batch.
 """

@@ -25,7 +25,7 @@ from .integrate import (IntegratorConfig, NonFiniteState, QuadratureFailure,
                         StepBudgetExceeded, StepUnderflow)
 from .qmatrix import (LogFailure, NonSquare, OmegaViolation, PairingFailure,
                       QMatrix, RecoveryFailure, Singular, expm,
-                      standard_eigenvalues)
+                      quaternion_data, standard_eigenvalues, sum_norms)
 from .quaternion import DivisionByZero
 
 NUMERICAL_ERRORS = (Singular, StepUnderflow, StepBudgetExceeded,
@@ -224,14 +224,13 @@ def run_periodic(config):
     fd = normal_form(spec, cfg)
     b_spectrum = standard_eigenvalues(fd.B)
     verdict = classify_periodic(fd)
-    norms = [fd.trajectory.matrix_at(t).sum_norm()
-             for t in [0.0, 0.5 * fd.period, fd.period, 1.5 * fd.period,
-                       2.0 * fd.period]]
+    norms = sum_norms(fd.trajectory.adjoints_at(
+        [0.0, 0.5 * fd.period, fd.period, 1.5 * fd.period,
+         2.0 * fd.period])).tolist()
     sample_grid = [t for t, _ in fd.P_samples]
-    trajectory = [[t] + [component
-                         for row in _matrix_json(fd.trajectory.matrix_at(t))
-                         for entry in row for component in entry]
-                  for t in sample_grid]
+    # t, then the components of M(t), entry by entry in row-major order
+    trajectory = [[t] + state.ravel().tolist() for t, state in zip(
+        sample_grid, quaternion_data(fd.trajectory.adjoints_at(sample_grid)))]
     return {
         "period": fd.period,
         "monodromy": _matrix_json(fd.monodromy),

@@ -473,9 +473,10 @@ def evaluate(node, t, params=None):
 
 
 def grid_max(measure, period, points=GRID_POINTS):
-    """Largest measure(t) over `points` equally spaced times in [0, period)."""
-    return max(measure(float(t))
-               for t in np.linspace(0.0, period, points, endpoint=False))
+    """Largest measure(t) over `points` equally spaced times in [0, period);
+    nan when any measure(t) is nan."""
+    return float(np.max([measure(float(t)) for t in
+                         np.linspace(0.0, period, points, endpoint=False)]))
 
 
 # -- rendering ----------------------------------------------------------------

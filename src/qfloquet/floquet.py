@@ -20,8 +20,8 @@ import numpy as np
 from .expressions import GRID_POINTS
 from .integrate import integrate, trace_integral
 from .qmatrix import (EIG_CLUSTER_TOL, QMatrix, Singular, StandardSpectrum,
-                      adjoint, expm, logm, right_eigenvector,
-                      standard_eigenvalues)
+                      adjoint, expm_adjoint, logm, quaternion_data,
+                      right_eigenvector, standard_eigenvalues, sum_norms)
 from .quaternion import Quaternion
 
 # half-width of the tolerance band around the stability boundary
@@ -169,7 +169,7 @@ def _require_periodic(spec, params=None):
     if spec.period is None:
         raise NotPeriodic("system has no finite period")
     residual = spec.periodicity_residual(params=params)
-    if residual > COEFF_PERIODICITY_TOL:
+    if not residual <= COEFF_PERIODICITY_TOL:     # nan fails too
         raise NotPeriodic(
             f"coefficient periodicity residual {residual:.3e} exceeds "
             f"{COEFF_PERIODICITY_TOL:.1e} on a {GRID_POINTS}-point grid")
@@ -209,30 +209,33 @@ def characteristic_exponents(multipliers, period):
 def normal_form(spec, cfg=None, params=None):
     """Full Floquet data: monodromy, B, multipliers, exponents, sampled P(t).
 
-    Integrates the principal fundamental matrix to 2T so the periodicity of
+    Integrates the principal fundamental matrix to 2T and reads M(t) from
+    the integrator's continuous extension, so the periodicity of
     P(t) = M(t) e^{-tB} can be verified sample by sample.
     """
     _require_periodic(spec, params)
     T = spec.period
-    grid = np.linspace(0.0, T, P_SAMPLE_COUNT)
-    sample_times = sorted(set(grid.tolist()) | set((grid + T).tolist()))
+    grid = np.linspace(0.0, T, P_SAMPLE_COUNT).tolist()
     traj = integrate(spec, 0.0, 2.0 * T, QMatrix.identity(spec.n), cfg,
-                     sample_times=sample_times, params=params)
+                     params=params)
     mono = traj.matrix_at(T)
     multipliers = characteristic_multipliers(mono)
     B = logm(mono) * (1.0 / T)
     exponents = characteristic_exponents(multipliers, T)
 
-    P_at = {}
-    for t in sample_times:
-        P_at[t] = traj.matrix_at(t) @ expm(B * (-t))
-    max_p = max(P.sum_norm() for P in P_at.values())
-    residual = max((P_at[t] - P_at[t + T]).sum_norm() for t in grid.tolist())
+    # P(t) = M(t) e^{-tB} and P(t + T) for t on the grid, as stacks of
+    # adjoints, with e^{-(t+T)B} = e^{-tB} e^{-TB}
+    decay = expm_adjoint(-np.array(grid)[:, None, None] * adjoint(B))
+    P = traj.adjoints_at(grid + [t + T for t in grid]) @ np.concatenate(
+        [decay, decay @ decay[-1]])
+    max_p = float(sum_norms(P).max())
+    residual = float(sum_norms(P[:len(grid)] - P[len(grid):]).max())
     if residual > P_PERIODICITY_TOL * max_p:
         raise PeriodicityViolation(
             f"P(t) periodicity residual {residual:.3e} exceeds "
             f"{P_PERIODICITY_TOL:.1e} * {max_p:.3e}")
-    samples = [(float(t), P_at[t]) for t in grid.tolist()]
+    samples = [(t, QMatrix(data))
+               for t, data in zip(grid, quaternion_data(P[:len(grid)]))]
     return FloquetData(T, mono, B, multipliers, exponents, samples,
                        residual, traj)
 

@@ -3,8 +3,9 @@
 The equation is analyzed through its 2x2 companion system.  Three verdict
 channels are reported side by side: the real part of the monodromy trace
 (inconclusive inside (-2, 2) for quaternion coefficients, and on the band
-around +-2 unless M(T) = +-I), the squared Frobenius norm (> 2 forces
-instability), and the characteristic multipliers (authoritative).  A
+around +-2 unless M(T) = +-I), the Frobenius channel (the squared Frobenius
+norm, reported, and an instability certificate from the traces of powers
+of M(T)), and the characteristic multipliers (authoritative).  A
 real-coefficient specialization reproduces the classical trace
 classification.  `analyze_batch` analyzes the points of a parameter grid
 (a stability chart) with one batched integration.
@@ -15,12 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .expressions import MatrixSpec, Neg, Num, compile_expr, grid_max
-from .floquet import (COEFF_PERIODICITY_TOL, Evidence, Stability,
+from .floquet import (COEFF_PERIODICITY_TOL, STAB_TOL, Evidence, Stability,
                       StabilityVerdict, characteristic_multipliers,
                       classify_multipliers)
 from .integrate import integrate, integrate_batch
-from .qmatrix import QMatrix, standard_eigenvalues
+from .qmatrix import QMatrix, adjoint, standard_eigenvalues
 
 # band half-width for trace comparisons against +-2
 TRACE_TOL = 1e-6
@@ -28,6 +31,8 @@ TRACE_TOL = 1e-6
 IDENTITY_TOL = 1e-6
 # largest vector part of a(t) on the grid that classify_real accepts
 REAL_COEFF_TOL = 1e-12
+# the Frobenius channel tries the powers k = 1, 2, 4, ..., 2**(this - 1)
+FROBENIUS_SQUARINGS = 7
 
 
 class NotRealCoefficient(ValueError):
@@ -48,7 +53,7 @@ class HillProblem:
         # a(t) is the companion's only varying entry, so this is the largest
         # |a(t) - a(t+T)| on the grid
         worst = companion(self).periodicity_residual(params=self.params)
-        if worst > COEFF_PERIODICITY_TOL:
+        if not worst <= COEFF_PERIODICITY_TOL:    # nan fails too
             raise ValueError(
                 f"a(t) periodicity residual {worst:.3e} exceeds "
                 f"{COEFF_PERIODICITY_TOL:.1e}")
@@ -100,11 +105,36 @@ def _trace_verdict(re_trace, M_T):
     return StabilityVerdict(Stability.UNDETERMINED, evidence)
 
 
-def _frobenius_verdict(frob_sq):
-    evidence = (Evidence(complex(frob_sq), "||M(T)||_F^2", 2.0, frob_sq - 2.0),)
-    if frob_sq > 2.0 + TRACE_TOL:
-        return StabilityVerdict(Stability.UNSTABLE, evidence)
-    return StabilityVerdict(Stability.UNDETERMINED, evidence)
+def _frobenius_verdict(M_T):
+    """UNSTABLE when a power M(T)^k, k = 1, 2, 4, ..., 64, certifies a
+    multiplier off the unit circle, else UNDETERMINED.
+
+    Re tr M^k is the sum of Re(lambda^k) over the n standard eigenvalues, so
+    |Re tr M^k| > n (1 + 2 STAB_TOL)^k forces some |lambda| > 1 + 2 STAB_TOL,
+    beyond the band where the multiplier channel is undetermined.  The bound
+    also allows for the rounding of M^k, k eps ||M^k||_F, and at least
+    TRACE_TOL.  The evidence is the power with the largest margin.
+    """
+    chi = adjoint(M_T)
+    best = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for power in range(FROBENIUS_SQUARINGS):
+            if power:
+                chi = chi @ chi
+            k = 2 ** power
+            # the adjoint doubles the trace and the squared Frobenius norm
+            trace = 0.5 * np.trace(chi).real
+            rounding = (k * np.finfo(float).eps * np.linalg.norm(chi)
+                        / math.sqrt(2.0))
+            bound = (M_T.rows * (1.0 + 2.0 * STAB_TOL) ** k
+                     + max(TRACE_TOL, rounding))
+            evidence = Evidence(complex(trace), f"Re tr M(T)^{k}", bound,
+                                abs(trace) - bound)
+            if evidence.margin > 0:
+                return StabilityVerdict(Stability.UNSTABLE, (evidence,))
+            if best is None or evidence.margin > best.margin:
+                best = evidence
+    return StabilityVerdict(Stability.UNDETERMINED, (best,))
 
 
 def k_matrix_diagnostics(M_T):
@@ -177,7 +207,7 @@ def _report(M_T):
         multipliers=multipliers,
         K_eigs=(k1, k2),
         verdict_trace=_trace_verdict(re_trace, M_T),
-        verdict_frobenius=_frobenius_verdict(frob_sq),
+        verdict_frobenius=_frobenius_verdict(M_T),
         verdict_multipliers=classify_multipliers(multipliers),
     )
 
@@ -191,7 +221,7 @@ def classify_real(problem, cfg=None):
     a = compile_expr(problem.a)
     worst = grid_max(lambda t: math.hypot(*a(t, problem.params)[1:]),
                      problem.period)
-    if worst > REAL_COEFF_TOL:
+    if not worst <= REAL_COEFF_TOL:
         raise NotRealCoefficient(
             f"coefficient has vector part up to {worst:.3e}")
     M_T = _monodromy(problem, cfg)

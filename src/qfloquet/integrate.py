@@ -4,29 +4,29 @@ The right-hand side X -> A(t) X is real-linear, so classical Runge-Kutta
 order theory carries over to quaternion-valued states unchanged.  One core
 steps a (B, 2n, 2n) stack of complex adjoints (see `qmatrix.adjoint`): A is
 evaluated at all stage times of a step in one array call
-(`MatrixSpec.adjoint`), each stage is one batched matrix product, and
-QMatrix objects appear only where `integrate` takes M0 and returns its
-Trajectory.  `integrate` runs the core on one system; `integrate_batch` runs
-it on the members of a batch, which share A(t) but bind its parameters to
-arrays of different values.  Nothing here needs SciPy.
+(`MatrixSpec.adjoint`) and each stage is one batched matrix product.
+`integrate` runs it on one system and returns a Trajectory;
+`integrate_batch` runs it on members that share A(t) but bind its
+parameters to arrays of different values.  Nothing here needs SciPy.
 
-The default method is the adaptive Dormand-Prince 5(4) pair; a fixed-step
-classical RK4 is available for convergence studies.  Step-size control is
-per member: each keeps its own time, step and accept/reject decisions, with
-the local error measured in the quaternion entrywise sum norm, so a member
-takes the steps it would take alone and its result does not depend on the
-rest of the batch.  A member that fails (its coefficients cannot be
-evaluated, its step underflows, it needs more than MAX_STEPS trial steps,
-or its state stops being finite) ends with its own typed error and leaves
-the others unchanged.  Requested sample times are hit exactly by clipping
-steps, and dense output between accepted steps uses cubic Hermite
-interpolation on the stored states and derivatives.
+The default method is DOP853, Dormand and Prince's adaptive 8th-order
+pair with its 7th-order continuous extension (Hairer, Norsett & Wanner,
+Solving ODEs I, sec. II.5-II.6); a fixed-step classical RK4 is kept for
+convergence studies.  Each member keeps its own time, step and
+accept/reject decisions, with the local error in the quaternion entrywise
+sum norm, so its result does not depend on the rest of the batch; a member
+whose coefficients cannot be evaluated, whose step underflows, that needs
+more than MAX_STEPS trial steps or whose state stops being finite ends
+with its own typed error.  Only the last step is shortened, to end at t1:
+a Trajectory evaluates M(t) at any other time from the continuous
+extension of the accepted step around it, whose 3 extra stages
+`integrate_batch` never computes.
 
-The integral of Re tr A behind Liouville's identity is a scalar quadrature,
-done directly: adaptive Gauss-Legendre on the compiled diagonal entries of
-the specification (`MatrixSpec.re_trace`), bisecting until the two halves
-agree with the whole to the accuracy target, and raising QuadratureFailure
-when that takes more than TRACE_QUAD_LEVELS bisections.
+The integral of Re tr A behind Liouville's identity is a scalar quadrature:
+adaptive Gauss-Legendre on the compiled diagonal entries of the
+specification (`MatrixSpec.re_trace`), bisecting until the two halves agree
+with the whole to the accuracy target, and raising QuadratureFailure when
+that takes more than TRACE_QUAD_LEVELS bisections.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmatrix import QMatrix, adjoint, qdet, quaternion_data
+from .qmatrix import QMatrix, adjoint, qdet, quaternion_data, sum_norms
 
 
 # trace quadrature: accuracy target relative to max(1, integral of |Re tr A|),
@@ -48,9 +48,9 @@ TRACE_QUAD_LEVELS = 20
 TRACE_QUAD_POINTS = 10
 # relative rounding floor of a Gauss-Legendre sum
 _ROUNDING = 64 * np.finfo(float).eps
-# trial steps (accepted and rejected) one integration may take: over 10x the
-# most any test, demo or benchmark input needs (2901, for 40 periods of a
-# paper system at rel_tol 1e-8; benchmark inputs need at most 395)
+# trial steps (accepted and rejected) one integration may take: over 50x the
+# most any test, demo or benchmark input needs (561, for 40 periods of a
+# paper system at rel_tol 1e-8; benchmark inputs need at most 59)
 MAX_STEPS = 30_000
 
 
@@ -74,125 +74,164 @@ class QuadratureFailure(ArithmeticError):
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
-    method: str = "dp54"          # "dp54" or "rk4"
+    method: str = "dop853"        # "dop853" or "rk4"
     rk4_step: float = 1e-2        # used only by the fixed-step method
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        if not self.max_step > 0:
-            raise ValueError("max_step must be positive")
-        if self.method not in ("dp54", "rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
+        if self.method not in ("dop853", "rk4"):
+            raise ValueError(f"unknown method {self.method!r}; use "
+                             f"'dop853' or 'rk4'")
         if self.method == "rk4" and not self.rk4_step > 0:
             raise ValueError("rk4_step must be positive")
 
 
 class Trajectory:
-    """Accepted integration samples t_0 < ... < t_m with M and M' at each."""
+    """Accepted steps t_0 < ... < t_m, M at each, and M(t) in between.
 
-    def __init__(self, times, states, derivs):
+    `extension[s]` holds the adjoint of M(t_s) and the coefficients F_0,
+    F_1, ... of step s's continuous extension: with x = (t - t_s) / (t_{s+1}
+    - t_s), M(t) = M(t_s) + x (F_0 + (1 - x) (F_1 + x (F_2 + (1 - x) (F_3 +
+    ...)))).  F_0, F_1 and F_2 alone make the cubic Hermite interpolant.
+    """
+
+    def __init__(self, times, states, extension):
         self.times = np.asarray(times)
         self.states = list(states)
-        self.derivs = list(derivs)
-
-    @property
-    def t0(self):
-        return float(self.times[0])
-
-    @property
-    def t1(self):
-        return float(self.times[-1])
+        self.extension = extension
 
     @property
     def final(self):
         return self.states[-1]
 
     def matrix_at(self, t):
-        """State at time t: exact at sample points, Hermite-interpolated between."""
-        span = max(self.t1 - self.t0, 1.0)
-        idx = int(np.searchsorted(self.times, t))
-        for probe in (idx - 1, idx, idx + 1):
-            if 0 <= probe < len(self.times) and abs(self.times[probe] - t) <= 1e-12 * span:
-                return self.states[probe]
-        if t < self.t0 - 1e-12 * span or t > self.t1 + 1e-12 * span:
-            raise ValueError(f"time {t} outside trajectory range")
-        hi = int(np.searchsorted(self.times, t))
-        lo = hi - 1
-        ta, tb = self.times[lo], self.times[hi]
-        h = tb - ta
-        s = (t - ta) / h
-        h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
-        h01 = -2 * s**3 + 3 * s**2
-        h11 = s**3 - s**2
-        return (self.states[lo] * h00 + self.derivs[lo] * (h * h10)
-                + self.states[hi] * h01 + self.derivs[hi] * (h * h11))
+        """M(t) for t in [t_0, t_m], from the continuous extension."""
+        return QMatrix(quaternion_data(self.adjoints_at([t])[0]))
+
+    def adjoints_at(self, times):
+        """The adjoints of M(t) at the given times in [t_0, t_m], stacked."""
+        times = np.asarray(times, dtype=float)
+        t0, t1 = self.times[0], self.times[-1]
+        slack = 1e-12 * max(t1 - t0, 1.0)
+        outside = (times < t0 - slack) | (times > t1 + slack)
+        if outside.any():
+            raise ValueError(f"time {times[outside][0]} outside trajectory "
+                             f"range")
+        step = np.clip(np.searchsorted(self.times, times, "right") - 1, 0,
+                       len(self.extension) - 1)
+        x = ((times - self.times[step])
+             / (self.times[step + 1] - self.times[step]))[:, None, None]
+        start, *F = np.moveaxis(self.extension[step], 1, 0)
+        value = 0.0
+        for index in reversed(range(len(F))):
+            value = (value + F[index]) * (x if index % 2 == 0 else 1.0 - x)
+        return start + value
 
 
 class _Method(NamedTuple):
-    """An explicit Runge-Kutta method whose last stage is f(t + h, y_new).
-
-    Weights are arrays shaped (stages, 1, 1, 1), to scale a stack of stages.
-    """
-    times: np.ndarray  # distinct step fractions at which the stages after
-                       # the first evaluate A
-    uses: tuple        # index into `times` of each stage after the first,
-                       # the last stage included
-    a: tuple           # weights of the stages before the last, one array
-                       # per stage after the first
-    b: np.ndarray      # weights of the new state
-    err: np.ndarray    # local error weights of all stages; None for a fixed step
+    """An explicit Runge-Kutta method; the stage after the step's own is
+    f(t + h, y_new), the next step's first.  Weights are arrays shaped
+    (stages, 1, 1, 1), to scale a stack of stages."""
+    times: np.ndarray  # step fraction of each stage after the first
+    last: int          # the stage f(t + h, y_new); the stages after it
+                       # are the continuous extension's
+    a: tuple           # weights of the earlier stages, per stage after
+                       # the first: the last stage's are those of y_new
+    err: np.ndarray    # 5th- and 3rd-order local error weights, or None
+    dense: np.ndarray  # weights of the extension's F_3, F_4, ...
 
 
-def _method(c, a, b, err=None):
-    """A _Method from stage fractions c (c[0] = 0) and weight lists."""
-    fractions = c[1:] + (1.0,)
-    times = list(dict.fromkeys(fractions))
-    return _Method(np.array(times)[:, None],
-                   tuple(times.index(x) for x in fractions),
-                   tuple(_weights(*row) for row in a), _weights(*b),
-                   None if err is None else _weights(*err))
+def _method(c, a, b, err5=None, bhh=None, extra_c=(), extra_a=(), dense=()):
+    """A _Method from stage fractions c (c[0] = 0) and weight lists.  The
+    3rd-order error weights are b - bhh; the extension's extra stages come
+    at the fractions extra_c, after f(t + h, y_new)."""
+    return _Method(np.array(c[1:] + (1.0,) + extra_c)[:, None], len(b),
+                   tuple(_weights(*a, b, *extra_a)),
+                   None if err5 is None
+                   else np.stack(_weights(err5, np.subtract(b, bhh))),
+                   np.stack(_weights(*dense)) if dense
+                   else np.zeros((0, 1, 1, 1, 1)))
 
 
-def _weights(*w):
-    return np.array(w)[:, None, None, None]
+def _weights(*rows):
+    return [np.array(row, dtype=float)[:, None, None, None] for row in rows]
 
 
-# Dormand-Prince 5(4); the seventh stage f(t + h, y_new) is the next step's first
-_DP54 = _method(
-    c=(0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0),
-    a=((1 / 5,),
-       (3 / 40, 9 / 40),
-       (44 / 45, -56 / 15, 32 / 9),
-       (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-       (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
-    b=(35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-    # 5th-order weights minus the embedded 4th-order ones
-    err=(71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
-         -1 / 40),
+# Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
+# sec. II.5; coefficients of their Fortran code), with the extra stages and
+# weights of its 7th-order continuous extension (sec. II.6)
+_DOP853 = _method(
+    c=(0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+       0.2816496580927726, 1 / 3, 0.25, 4 / 13, 127 / 195, 0.6, 6 / 7, 1.0),
+    a=((0.05260015195876773,),
+       (0.0197250569845379, 0.0591751709536137),
+       (0.02958758547680685, 0, 0.08876275643042054),
+       (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
+       (1 / 27, 0, 0, 0.17082860872947386, 0.12546768756682242),
+       (19 / 512, 0, 0, 0.17025221101954405, 0.06021653898045596, -9 / 512),
+       (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+        -0.015319437748624402, 0.008273789163814023),
+       (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
+        27.59209969944671, 20.154067550477894, -43.48988418106996),
+       (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
+        21.230051448181193, 15.279233632882423, -33.28821096898486,
+        -0.020331201708508627),
+       (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+        -8.149787010746927, -18.52006565999696, 22.739487099350505,
+        2.4936055526796523, -3.0467644718982196),
+       (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
+        -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+        -8.87285693353063, 12.360567175794303, 0.6433927460157636)),
+    b=(0.054293734116568765, 0, 0, 0, 0, 4.450312892752409,
+       1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+       -0.1521609496625161, 0.20136540080403034, 0.04471061572777259),
+    err5=(0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044,
+          -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+          0.3341791187130175, 0.08192320648511571, -0.022355307863886294),
+    bhh=(31 / 127, 0, 0, 0, 0, 0, 0, 0, 0.7338466882816118, 0, 0, 3 / 136),
+    extra_c=(0.1, 0.2, 7 / 9),
+    extra_a=((0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483,
+              -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+              0.00820105229563469, 0.007567897660545699, -0.008298),
+             (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776,
+              0.053541988307438566, -0.05492374857139099, 0, 0,
+              -0.00010834732869724932, 0.0003825710908356584,
+              -0.00034046500868740456, 0.1413124436746325),
+             (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164,
+              7.683421196062599, 4.06898981839711, 0.3567271874552811, 0, 0,
+              0, -0.0013990241651590145, 2.9475147891527724,
+              -9.15095847217987)),
+    dense=((-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777,
+            -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+            -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+            -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+            -4.436036387594894),
+           (10.427508642579134, 0, 0, 0, 0, 242.28349177525817,
+            165.20045171727028, -374.5467547226902, -22.113666853125306,
+            7.733432668472264, -30.674084731089398, -9.332130526430229,
+            15.697238121770845, -31.139403219565178, -9.35292435884448,
+            35.81684148639408),
+           (19.985053242002433, 0, 0, 0, 0, -387.0373087493518,
+            -189.17813819516758, 527.8081592054236, -11.57390253995963,
+            6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+            -2.778205752353508, -60.19669523126412, 84.32040550667716,
+            11.99229113618279),
+           (-25.69393346270375, 0, 0, 0, 0, -154.18974869023643,
+            -231.5293791760455, 357.6391179106141, 93.40532418362432,
+            -37.45832313645163, 104.0996495089623, 29.8402934266605,
+            -43.53345659001114, 96.32455395918828, -39.17726167561544,
+            -149.72683625798564)),
 )
 _RK4 = _method(c=(0.0, 0.5, 0.5, 1.0), a=((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
                b=(1 / 6, 1 / 3, 1 / 3, 1 / 6))
 
 
-def _required_times(t0, t1, sample_times):
-    required = {t1}
-    if sample_times is not None:
-        for t in sample_times:
-            if t < t0 - 1e-12 or t > t1 + 1e-12:
-                raise ValueError(f"sample time {t} outside [{t0}, {t1}]")
-            if t > t0:
-                required.add(min(float(t), t1))
-    return sorted(required)
-
-
-def integrate(spec, t0, t1, M0, cfg=None, sample_times=None, params=None):
+def integrate(spec, t0, t1, M0, cfg=None, params=None):
     """Integrate M' = A(t) M from M(t0) = M0 over [t0, t1].
 
-    Returns a Trajectory whose samples are the accepted steps; `sample_times`
-    are forced to be step endpoints so they carry no interpolation error.
+    Returns a Trajectory whose samples are the accepted steps, with the
+    continuous extension of each step for M(t) in between.
     """
     cfg = cfg or IntegratorConfig()
     _check_shapes(spec, t0, t1, M0)
@@ -201,14 +240,12 @@ def integrate(spec, t0, t1, M0, cfg=None, sample_times=None, params=None):
         return spec.adjoint(t, params)
 
     steps = [[]]
-    (outcome,) = _run(coefficients, t0, t1, adjoint(M0)[None], cfg,
-                      _required_times(t0, t1, sample_times), steps)
+    (outcome,) = _run(coefficients, t0, t1, adjoint(M0)[None], cfg, steps)
     if isinstance(outcome, Exception):
         raise outcome
-    times, ys, fs = zip(*steps[0])
-    states = [QMatrix(data) for data in quaternion_data(np.stack(ys[1:]))]
-    derivs = [QMatrix(data) for data in quaternion_data(np.stack(fs))]
-    return Trajectory(times, [M0] + states, derivs)
+    times, ys, extension = zip(*steps[0])
+    states = [QMatrix(data) for data in quaternion_data(np.stack(ys))]
+    return Trajectory((t0,) + times, [M0] + states, np.stack(extension))
 
 
 def integrate_batch(spec, t0, t1, M0, params, cfg=None):
@@ -236,7 +273,7 @@ def integrate_batch(spec, t0, t1, M0, params, cfg=None):
     y0 = np.broadcast_to(adjoint(M0), (size,) + (2 * spec.n,) * 2)
     return [outcome if isinstance(outcome, Exception)
             else QMatrix(quaternion_data(outcome))
-            for outcome in _run(coefficients, t0, t1, y0, cfg, [t1])]
+            for outcome in _run(coefficients, t0, t1, y0, cfg)]
 
 
 def _check_shapes(spec, t0, t1, M0):
@@ -246,36 +283,43 @@ def _check_shapes(spec, t0, t1, M0):
         raise ValueError("t1 must exceed t0")
 
 
-def _sum_norms(y):
-    """Quaternion entrywise sum norm of each adjoint in a stack."""
-    n = y.shape[-1] // 2
-    moduli = np.hypot(np.abs(y[:, :n, :n]), np.abs(y[:, :n, n:]))
-    return moduli.reshape(len(y), -1).sum(axis=1)
-
-
 def _finite(y):
     return np.isfinite(y).reshape(len(y), -1).all(axis=1)
 
 
-def _trial(method, coefficients, cfg, members, t, h, y, f, size):
+def _trial(method, coefficients, cfg, dense, members, t, h, y, f, size):
     """One trial step of every member.  Returns y_new, f(t + h, y_new), the
-    sum norm of y_new, and the local error relative to the tolerance (None
-    for a fixed-step method); `size` is the sum norm of y."""
-    # A at every stage time of the step, evaluated together
-    A = coefficients(members, t + method.times * h)
+    sum norm of y_new, the local error relative to the tolerance (None for
+    a fixed step) and, with `dense`, the step's continuous extension as a
+    Trajectory stores it, members on the second axis; `size` is the sum
+    norm of y."""
     step = h[:, None, None]
-    k = np.empty((len(method.uses) + 1,) + y.shape, dtype=complex)
-    k[0] = f
-    for s, (use, weights) in enumerate(zip(method.uses, method.a), 1):
-        k[s] = A[use] @ (y + np.add.reduce(weights * k[:s]) * step)
-    y_new = y + np.add.reduce(method.b * k[:-1]) * step
-    k[-1] = f_new = A[method.uses[-1]] @ y_new
-    size_new = _sum_norms(y_new)
-    if method.err is None:
-        return y_new, f_new, size_new, None
-    local = _sum_norms(np.add.reduce(method.err * k) * step)
-    return y_new, f_new, size_new, local / (
-        cfg.abs_tol + cfg.rel_tol * np.maximum(size, size_new))
+    last = method.last
+    # A at every stage time of the step, evaluated together, times h
+    hA = coefficients(members, t + h * method.times[
+        :None if dense else last]) * step
+    # k[s] is h times the derivative at stage s
+    k = np.empty((len(hA) + 1,) + y.shape, dtype=complex)
+    k[0] = f * step
+    for s in range(1, len(k)):
+        argument = y + np.add.reduce(method.a[s - 1] * k[:s])
+        k[s] = hA[s - 1] @ argument
+        if s == last:
+            y_new = argument
+    size_new = sum_norms(y_new)
+    err = extension = None
+    if method.err is not None:
+        e5, e3 = sum_norms(np.add.reduce(method.err * k[:last], axis=1)) / (
+            cfg.abs_tol + cfg.rel_tol * np.maximum(size, size_new))
+        # Hairer's combination of the two estimates; 0 when both vanish
+        denominator = np.sqrt(e5 * e5 + 0.01 * e3 * e3)
+        err = np.where(denominator == 0.0, 0.0, e5 * e5 / denominator)
+    if dense:
+        delta = y_new - y
+        extension = np.concatenate((
+            [y, delta, k[0] - delta, 2.0 * delta - k[0] - k[last]],
+            np.add.reduce(method.dense * k, axis=1)))
+    return y_new, k[last] / step, size_new, err, extension
 
 
 def _isolated(attempt, members, *rows):
@@ -297,38 +341,36 @@ def _isolated(attempt, members, *rows):
         return None, errors
 
 
-def _run(coefficients, t0, t1, y0, cfg, required, steps=None):
+def _run(coefficients, t0, t1, y0, cfg, steps=None):
     """Integrate the stack y0 over [t0, t1] with per-member step control.
 
     coefficients(members, t) is the stack of adjoints of A at the times t,
     an array whose last axis runs over the batch members (indices) given;
     its shape is t.shape + (2n, 2n).  Returns, per member, its final
     adjoint or the ArithmeticError that ended it.  With `steps`, a list per
-    member, (t0, y0, f(t0)) and then each accepted (t, y, f) are appended.
+    member, each accepted step's (t, y, continuous extension) is appended.
     """
-    method = _RK4 if cfg.method == "rk4" else _DP54
+    method = _RK4 if cfg.method == "rk4" else _DOP853
     span = t1 - t0
-    required = np.asarray(required)
     first = cfg.rk4_step if method.err is None else min(span / 100.0, 0.1)
     outcomes = [None] * len(y0)
     # one row per member still running; `members` holds their batch indices
     members = np.arange(len(y0))
     t = np.full(len(y0), float(t0))
     h = np.full(len(y0), first)
-    target = np.zeros(len(y0), dtype=int)     # index of the next required time
     trials = np.zeros(len(y0), dtype=int)
     y = np.asarray(y0)
     f = size = None
 
     def retire(results):
         """Record {row: final adjoint or error} and drop those rows."""
-        nonlocal members, t, h, target, trials, y, f, size
+        nonlocal members, t, h, trials, y, f, size
         for row, result in results.items():
             outcomes[members[row]] = result
         keep = np.ones(len(members), dtype=bool)
         keep[list(results)] = False
-        members, t, h, target, trials, y = (
-            a[keep] for a in (members, t, h, target, trials, y))
+        members, t, h, trials, y = (
+            a[keep] for a in (members, t, h, trials, y))
         if f is not None:
             f, size = f[keep], size[keep]
 
@@ -339,7 +381,8 @@ def _run(coefficients, t0, t1, y0, cfg, required, steps=None):
     def derivative(members, t, y):
         return coefficients(members, t) @ y
 
-    trial = functools.partial(_trial, method, coefficients, cfg)
+    trial = functools.partial(_trial, method, coefficients, cfg,
+                              steps is not None)
 
     with np.errstate(all="ignore"):
         while True:     # f(t0); members whose A(t0) fails leave, the rest retry
@@ -347,36 +390,29 @@ def _run(coefficients, t0, t1, y0, cfg, required, steps=None):
             if not errors:
                 break
             retire(errors)
-        size = _sum_norms(y)
-        if steps is not None:
-            for row, member in enumerate(members):
-                steps[member].append((float(t0), y[row], f[row]))
+        size = sum_norms(y)
         bad = ~(_finite(f) & np.isfinite(size))
         if bad.any():
             retire(not_finite(np.flatnonzero(bad), t))
         while len(members):
-            done = (t >= t1 - 1e-14 * span) | (target == len(required))
-            if done.any():
-                retire({row: y[row] for row in np.flatnonzero(done)})
-                continue
-            h = np.minimum(np.minimum(h, cfg.max_step), required[target] - t)
-            under = h < 1e-13 * span
-            if under.any():
-                retire({row: StepUnderflow(f"step size {h[row]:.3e} underflowed "
-                                           f"at t={t[row]:.6g}")
-                        for row in np.flatnonzero(under)})
-                continue
-            spent = trials == MAX_STEPS
-            if spent.any():
-                retire({row: StepBudgetExceeded(f"more than {MAX_STEPS} steps, "
-                                                f"stopped at t={t[row]:.6g}")
-                        for row in np.flatnonzero(spent)})
+            h = np.minimum(h, t1 - t)
+            # arrival wins over a step underflow, which wins over the budget
+            ended = {row: StepBudgetExceeded(f"more than {MAX_STEPS} steps, "
+                                             f"stopped at t={t[row]:.6g}")
+                     for row in np.flatnonzero(trials == MAX_STEPS)}
+            ended.update({row: StepUnderflow(f"step size {h[row]:.3e} "
+                                             f"underflowed at t={t[row]:.6g}")
+                          for row in np.flatnonzero(h < 1e-13 * span)})
+            ended.update({row: y[row]
+                          for row in np.flatnonzero(t >= t1 - 1e-14 * span)})
+            if ended:
+                retire(ended)
                 continue
             result, errors = _isolated(trial, members, t, h, y, f, size)
             if errors:
                 retire(errors)
                 continue
-            y_new, f_new, size_new, err = result
+            y_new, f_new, size_new, err, extension = result
             trials += 1
             ok = np.full(len(members), True) if err is None else err <= 1.0
             t = np.where(ok, t + h, t)
@@ -386,11 +422,10 @@ def _run(coefficients, t0, t1, y0, cfg, required, steps=None):
             if steps is not None:
                 for row in np.flatnonzero(ok):
                     steps[members[row]].append((float(t[row]), y_new[row],
-                                                f_new[row]))
-            target = target + (ok & (np.abs(t - required[target])
-                                     <= 1e-12 * span))
+                                                extension[:, row]))
+            # a nan error estimate shrinks the step
             h = (np.full(len(members), first) if err is None
-                 else h * np.fmin(5.0, np.fmax(0.2, 0.9 * err ** -0.2)))
+                 else h * np.fmin(5.0, np.fmax(0.2, 0.9 * err ** -0.125)))
             bad = ok & ~(np.isfinite(size_new) & _finite(f_new))
             if bad.any():
                 retire(not_finite(np.flatnonzero(bad), t))

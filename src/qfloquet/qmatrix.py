@@ -203,11 +203,6 @@ class QMatrix:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         return QMatrix(np.einsum("ija,jkb,abc->ikc", self.data, other.data, QMUL))
 
-    def scale_left(self, q):
-        """Left multiplication q * A by a quaternion scalar."""
-        comps = np.asarray(_as_components(q))
-        return QMatrix(np.einsum("a,ijb,abc->ijc", comps, self.data, QMUL))
-
     def scale_right(self, q):
         """Right multiplication A * q by a quaternion scalar."""
         comps = np.asarray(_as_components(q))
@@ -252,9 +247,6 @@ class QMatrix:
     def submatrix(self, r0, r1, c0, c1):
         return QMatrix(self.data[r0:r1, c0:c1, :].copy())
 
-    def column_at(self, j):
-        return QMatrix(self.data[:, j:j + 1, :].copy())
-
 
 def sum_norm(A):
     return A.sum_norm()
@@ -287,22 +279,27 @@ def adjoint(A):
 
 
 def omega_residual(chi):
-    """How far a 2n x 2n complex matrix is from the quaternion block form."""
-    n = chi.shape[0] // 2
-    r1 = np.abs(chi[n:, :n] + chi[:n, n:].conj()).max() if n else 0.0
-    r2 = np.abs(chi[n:, n:] - chi[:n, :n].conj()).max() if n else 0.0
-    scale = max(1.0, np.abs(chi).max())
-    return max(r1, r2) / scale
+    """How far a 2n x 2n complex matrix is from the quaternion block form;
+    for a stack of them, the largest residual."""
+    n = chi.shape[-1] // 2
+    if not n:
+        return 0.0
+    block = (-2, -1)
+    r1 = np.abs(chi[..., n:, :n] + chi[..., :n, n:].conj()).max(axis=block)
+    r2 = np.abs(chi[..., n:, n:] - chi[..., :n, :n].conj()).max(axis=block)
+    scale = np.maximum(1.0, np.abs(chi).max(axis=block))
+    return float(np.max(np.maximum(r1, r2) / scale))
 
 
 def project_omega(chi):
-    """Average the redundant blocks onto the exact quaternion block form."""
-    n = chi.shape[0] // 2
-    a1 = 0.5 * (chi[:n, :n] + chi[n:, n:].conj())
-    a2 = 0.5 * (chi[:n, n:] - chi[n:, :n].conj())
-    top = np.hstack([a1, a2])
-    bottom = np.hstack([-a2.conj(), a1.conj()])
-    return np.vstack([top, bottom])
+    """Average the redundant blocks onto the exact quaternion block form
+    (of each matrix in a stack)."""
+    n = chi.shape[-1] // 2
+    a1 = 0.5 * (chi[..., :n, :n] + chi[..., n:, n:].conj())
+    a2 = 0.5 * (chi[..., :n, n:] - chi[..., n:, :n].conj())
+    top = np.concatenate([a1, a2], axis=-1)
+    bottom = np.concatenate([-a2.conj(), a1.conj()], axis=-1)
+    return np.concatenate([top, bottom], axis=-2)
 
 
 def from_adjoint(chi, project=True):
@@ -319,6 +316,14 @@ def quaternion_data(chi):
     a1 = chi[..., :n, :n]
     a2 = chi[..., :n, n:]
     return np.stack([a1.real, a1.imag, a2.real, a2.imag], axis=-1)
+
+
+def sum_norms(chi):
+    """Entrywise sum norm of the quaternion matrix behind each adjoint in a
+    (..., 2n, 2n) stack."""
+    n = chi.shape[-1] // 2
+    moduli = np.hypot(np.abs(chi[..., :n, :n]), np.abs(chi[..., :n, n:]))
+    return moduli.sum(axis=(-2, -1))
 
 
 def embed_vector(x):
@@ -599,13 +604,20 @@ def expm(A):
     """Quaternion matrix exponential via the adjoint embedding."""
     if not A.is_square():
         raise NonSquare("expm requires a square matrix")
+    return from_adjoint(expm_adjoint(adjoint(A)), project=False)
+
+
+def expm_adjoint(chi):
+    """The adjoint of the exponential of each quaternion matrix whose
+    adjoint is given, for one adjoint or a stack of them: projected onto the
+    block form once its residue there is checked."""
     import scipy.linalg
-    chi_e = scipy.linalg.expm(adjoint(A))
+    chi_e = scipy.linalg.expm(chi)
     res = omega_residual(chi_e)
     if res > OMEGA_TOL:
         raise OmegaViolation(
             f"expm block-structure residue {res:.3e} exceeds {OMEGA_TOL:.1e}")
-    return from_adjoint(chi_e)
+    return project_omega(chi_e)
 
 
 def _log_residual_ok(B, C, tol=LOG_RESID_TOL):

@@ -147,11 +147,6 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 UNITS = (ONE, I, J, K)
 
 
-def mul(p, q):
-    """Quaternion product; operand order matters (noncommutative)."""
-    return _coerce(p) * _coerce(q)
-
-
 def conj(q):
     """Quaternion conjugate: negates the vector part."""
     return Quaternion(q.q0, -q.q1, -q.q2, -q.q3)

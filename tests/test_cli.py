@@ -136,10 +136,10 @@ def sweep_rows(capsys, grid, *extra):
 
 
 def test_sweep_failing_point_fails_only_its_row(capsys):
-    # p = nan passes the periodicity grid check and fails in the batch
+    # p = nan fails the periodicity grid check at set-up
     rows = sweep_rows(capsys, "1,nan,2")
     assert [bool(row["error"]) for row in rows] == [False, True, False]
-    assert rows[1]["error"].startswith("NonFiniteState")
+    assert rows[1]["error"].startswith("ValueError")
     assert [rows[0], rows[2]] == sweep_rows(capsys, "1,2")
 
 
@@ -247,6 +247,16 @@ def test_integrator_flags_are_honored(tmp_path):
     b = json.loads(tight.read_text())["results"]["re_trace"]
     assert a != b                       # tolerances actually reached the integrator
     assert abs(a - b) < 1e-3            # but both are close to the true value
+
+
+def test_retired_integrator_method_exits_2(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "mode": "hill", "period": math.pi, "a": HILL_COEFF,
+        "integrator": {"method": "dp54"}}))
+    assert run_cli(["hill", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'dp54'" in err and "'dop853'" in err and "'rk4'" in err
 
 
 def test_config_file_matches_flags(tmp_path):

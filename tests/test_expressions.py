@@ -9,7 +9,8 @@ from qfloquet.expressions import (MAX_DEPTH, MAX_EXPONENT, REAL_ARG_TOL,
                                   BinOp, Call, DomainError, EvalError,
                                   ExprSyntaxError, MatrixSpec, Neg, Num, Pow,
                                   Unit, UnknownIdentifier, Var, compile_expr,
-                                  evaluate, parse, quaternion_literal, render)
+                                  evaluate, grid_max, parse,
+                                  quaternion_literal, render)
 from qfloquet.qmatrix import adjoint
 from qfloquet.quaternion import DivisionByZero, I, J, K, Quaternion, qexp
 
@@ -239,6 +240,17 @@ def test_matrix_spec_shape_and_periodicity():
     assert aperiodic.periodicity_residual() > 0.5
     with pytest.raises(ValueError):
         MatrixSpec.from_strings([["1", "1"]], period=1.0)
+
+
+def test_grid_max_propagates_nan():
+    # built-in max() drops a nan that is not first
+    for nan_at in ({0}, {5}, set(range(64))):
+        assert math.isnan(grid_max(
+            lambda t: math.nan if round(t / 0.1) in nan_at else t, 6.4))
+    assert grid_max(lambda t: t, 6.4) == pytest.approx(6.3)
+    spec = MatrixSpec.from_strings([["p*cos(2*t)"]], period=math.pi,
+                                   variables=("t", "p"))
+    assert math.isnan(spec.periodicity_residual(params={"p": math.nan}))
 
 
 def test_matrix_spec_from_qmatrix():

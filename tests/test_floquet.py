@@ -37,6 +37,14 @@ def test_monodromy_constant_system_is_expm():
     assert (got - expm(CONST_DECAYING_2X2 * 1.5)).sum_norm() < 1e-8
 
 
+def test_nan_coefficient_is_not_periodic():
+    spec = MatrixSpec.from_strings([["p"]], period=1.0, variables=("t", "p"))
+    with pytest.raises(NotPeriodic):
+        monodromy(spec, params={"p": math.nan})
+    with pytest.raises(NotPeriodic):
+        normal_form(spec, params={"p": math.nan})
+
+
 def test_monodromy_growing_system(periodic_growing_spec):
     got = monodromy(periodic_growing_spec)
     ep = math.exp(math.pi)
@@ -304,8 +312,7 @@ def test_norm_growth_corroborates_verdicts(periodic_growing_spec,
     samples = np.linspace(0.0, horizon, 81)
 
     def norms(spec):
-        traj = integrate(spec, 0.0, horizon, QMatrix.identity(2), cfg,
-                         sample_times=list(samples))
+        traj = integrate(spec, 0.0, horizon, QMatrix.identity(2), cfg)
         return [traj.matrix_at(float(t)).sum_norm() for t in samples]
 
     growing = norms(periodic_growing_spec)

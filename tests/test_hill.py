@@ -113,15 +113,35 @@ def test_unstable_channels_imply_multiplier_instability(
         if (r.verdict_trace.kind == Stability.UNSTABLE
                 or r.verdict_frobenius.kind == Stability.UNSTABLE):
             assert r.verdict_multipliers.kind == Stability.UNSTABLE
-    # the trace channel on the random family too; the Frobenius channel says
-    # unstable on stable members of it, a known defect (ROADMAP item 5)
+    # both secondary channels on the random family too
     for source in random_hill_family():
         r = analyze(HillProblem(parse(source), math.pi))
-        if r.verdict_trace.kind == Stability.UNSTABLE:
+        if (r.verdict_trace.kind == Stability.UNSTABLE
+                or r.verdict_frobenius.kind == Stability.UNSTABLE):
             assert r.verdict_multipliers.kind == Stability.UNSTABLE
     assert r.verdict_trace.kind == Stability.UNDETERMINED
     assert abs(r.re_trace - 2.0) <= 1e-6
     assert r.verdict_multipliers.kind == Stability.STABLE
+
+
+def test_frobenius_channel_needs_a_certificate():
+    # a = 4, T = 1: |tr M(T)| = 2 |cos 2| < 2, so M(T) is stable, yet
+    # ||M(T)||_F^2 > 2 since M(T) is not unitary
+    r = analyze(HillProblem(parse("4"), 1.0))
+    assert r.frob_sq > 2.0
+    assert r.verdict_multipliers.kind == Stability.STABLE
+    assert r.verdict_frobenius.kind == Stability.UNDETERMINED
+
+
+def test_frobenius_certificates_of_the_unstable_fixtures(
+        hill_report_inconclusive, hill_report_unstable,
+        hill_report_frobenius):
+    for r, k in ((hill_report_inconclusive, 2), (hill_report_unstable, 1),
+                 (hill_report_frobenius, 2)):
+        (evidence,) = r.verdict_frobenius.evidence
+        assert r.verdict_frobenius.kind == Stability.UNSTABLE
+        assert evidence.quantity == f"Re tr M(T)^{k}"
+        assert abs(evidence.value.real) > evidence.threshold >= 2.0
 
 
 def test_k_matrix_identity():
@@ -207,6 +227,21 @@ def test_real_specialization_agrees_with_multipliers():
 def test_hill_problem_requires_periodic_coefficient():
     with pytest.raises(ValueError):
         HillProblem(parse("cos(t)"), math.pi)
+
+
+def test_hill_problem_rejects_nan_coefficient():
+    with pytest.raises(ValueError, match="nan"):
+        HillProblem(parse("p + j*cos(2*t)", ("t", "p")), math.pi,
+                    {"p": math.nan})
+
+
+def test_classify_real_rejects_nan_vector_part():
+    problem = HillProblem(parse("1 + p*j*cos(2*t)", ("t", "p")), math.pi,
+                          {"p": 0.0})
+    # past the set-up check, so only classify_real's realness check sees it
+    object.__setattr__(problem, "params", {"p": math.nan})
+    with pytest.raises(NotRealCoefficient):
+        classify_real(problem)
 
 
 # pi-periodic terms in t and p that reach every array leaf: cos, sin, real

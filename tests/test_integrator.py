@@ -101,6 +101,26 @@ def test_liouville_on_normal_form_trajectories(name, request):
     assert liouville_residual(traj, spec) <= 1e-7 * max(1.0, largest)
 
 
+def test_dop853_tableau_matches_scipy():
+    # transcribed from Hairer's code; SciPy's copy is only read here
+    reference = pytest.importorskip(
+        "scipy.integrate._ivp.dop853_coefficients")
+    method = integrate_module._DOP853
+    # stages: the step's 12, f(t + h, y_new), then the extension's 3
+    c = [0.0] + method.times.ravel().tolist()
+    assert c == reference.C.tolist()
+    for s, row in enumerate(method.a, 1):
+        assert row.ravel().tolist() == reference.A[s, :s].tolist()
+        # c_i is the sum of row i
+        assert abs(sum(row.ravel()) - c[s]) <= 1e-14
+    assert method.a[method.last - 1].ravel().tolist() == reference.B.tolist()
+    err5, err3 = (w.ravel().tolist() for w in method.err)
+    assert err5 + [0.0] == reference.E5.tolist()
+    assert err3 + [0.0] == reference.E3.tolist()
+    assert [w.ravel().tolist() for w in method.dense] == \
+        reference.D.tolist()
+
+
 def test_rk4_order_convergence():
     spec = growing_periodic_spec()
     ref = integrate(spec, 0.0, math.pi, QMatrix.identity(2), TIGHT).final
@@ -117,8 +137,7 @@ def test_semigroup_consistency():
     spec = growing_periodic_spec()
     rng = np.random.default_rng(31)
     t_star = float(rng.uniform(0.3, 2.5))
-    full = integrate(spec, 0.0, math.pi, QMatrix.identity(2),
-                     sample_times=[t_star])
+    full = integrate(spec, 0.0, math.pi, QMatrix.identity(2))
     mid = full.matrix_at(t_star)
     restarted = integrate(spec, t_star, math.pi, mid)
     assert (restarted.final - full.final).sum_norm() <= 1e-8
@@ -130,23 +149,31 @@ def test_qdet_positive_along_flow():
     assert all(qdet(M) > 0 for M in traj.states)
 
 
-def test_sample_times_hit_exactly():
+def test_continuous_extension_matches_integrations_to_each_time():
+    # M(t) read from the extension of the [0, 2T] steps against integrations
+    # that end at t; M grows to about 600 in the sum norm
     spec = growing_periodic_spec()
-    wanted = [0.5, 1.0, 2.2]
-    traj = integrate(spec, 0.0, math.pi, QMatrix.identity(2),
-                     sample_times=wanted)
-    for t in wanted:
-        assert np.min(np.abs(traj.times - t)) == 0.0
+    traj = integrate(spec, 0.0, 2 * math.pi, QMatrix.identity(2))
+    rng = np.random.default_rng(53)
+    for t in rng.uniform(0.0, 2 * math.pi, 50):
+        direct = integrate(spec, 0.0, float(t), QMatrix.identity(2)).final
+        assert ((traj.matrix_at(float(t)) - direct).sum_norm()
+                <= 1e-9 * max(1.0, direct.sum_norm()))
 
 
 def test_dense_output_interpolation():
     spec = growing_periodic_spec()
     traj = integrate(spec, 0.0, math.pi, QMatrix.identity(2))
     probe = 1.2345
-    reference = integrate(spec, 0.0, math.pi, QMatrix.identity(2),
-                          sample_times=[probe]).matrix_at(probe)
+    reference = integrate(spec, 0.0, probe, QMatrix.identity(2)).final
     interpolated = traj.matrix_at(probe)
     assert (interpolated - reference).sum_norm() < 1e-7
+
+
+def test_normal_form_takes_few_steps(fd_growing):
+    # a third of the 274 accepted steps a Dormand-Prince 5(4) pair takes
+    # here at the same tolerances
+    assert len(fd_growing.trajectory.times) - 1 <= 274 // 3
 
 
 def test_step_underflow_near_singularity():
@@ -178,7 +205,8 @@ def test_liouville_relative_to_expected_determinant(fd_growing,
 
 
 def test_step_budget_fails_loudly(monkeypatch):
-    monkeypatch.setattr(integrate_module, "MAX_STEPS", 40)
+    # the integration needs 23 accepted steps
+    monkeypatch.setattr(integrate_module, "MAX_STEPS", 10)
     with pytest.raises(StepBudgetExceeded):
         integrate(growing_periodic_spec(), 0.0, math.pi, QMatrix.identity(2))
 
