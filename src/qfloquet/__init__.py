@@ -19,9 +19,9 @@ from .expressions import (DomainError, EvalError, ExprSyntaxError, MatrixSpec,
                           UnknownIdentifier, compile_expr, evaluate, parse,
                           render)
 from .integrate import (IntegratorConfig, NonFiniteState, QuadratureFailure,
-                        StepBudgetExceeded, StepUnderflow, Trajectory,
-                        integrate, integrate_batch, liouville_residual,
-                        trace_integral)
+                        StepBudgetExceeded, StepCounts, StepUnderflow,
+                        Trajectory, integrate, integrate_batch,
+                        liouville_residual, trace_integral)
 from .floquet import (Evidence, FloquetData, NotPeriodic, PeriodicWitness,
                       PeriodicityViolation, Stability, StabilityVerdict,
                       ZeroMultiplier, characteristic_exponents,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -508,6 +509,10 @@ def build_parser():
     return parser
 
 
+# parsing leaves a parser unchanged, so every `main` call shares one
+_parser = functools.cache(build_parser)
+
+
 def _emit(text, path):
     if path:
         with open(path, "w") as handle:
@@ -517,8 +522,7 @@ def _emit(text, path):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.replay:
             with open(args.replay) as handle:

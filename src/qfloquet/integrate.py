@@ -3,7 +3,7 @@
 The right-hand side X -> A(t) X is real-linear, so classical Runge-Kutta
 order theory carries over to quaternion-valued states unchanged.  One core
 steps a (B, 2n, 2n) stack of complex adjoints (see `qmatrix.adjoint`): A is
-evaluated at all stage times of a step in one array call
+evaluated at all stage times of a window of steps in one array call
 (`MatrixSpec.adjoint`) and each stage is one batched matrix product.
 `integrate` runs it on one system and returns a Trajectory;
 `integrate_batch` runs it on members that share A(t) but bind its
@@ -17,10 +17,22 @@ accept/reject decisions, with the local error in the quaternion entrywise
 sum norm, so its result does not depend on the rest of the batch; a member
 whose coefficients cannot be evaluated, whose step underflows, that needs
 more than MAX_STEPS trial steps or whose state stops being finite ends
-with its own typed error.  Only the last step is shortened, to end at t1:
-a Trajectory evaluates M(t) at any other time from the continuous
-extension of the accepted step around it, whose 3 extra stages
-`integrate_batch` never computes.
+with its own typed error.
+
+A member advances in windows of equal steps.  Because the system is
+linear, a step's stages are propagators that do not depend on the state,
+so one array call evaluates A at every stage time of the window and the
+stages of all its steps are built together; only the product of each
+step's propagator with the state is sequential.  The longest prefix of
+steps within the tolerance is accepted, and the next step comes from the
+first rejected step's error or else from the window's largest.  A
+member's windows have one step until one is accepted, which sizes the
+step from the initial guess, and WINDOW steps from then on; every step of
+a window counts against MAX_STEPS, accepted or not.  A window that
+reaches t1 is shortened to equal steps that end exactly there: a
+Trajectory evaluates M(t) at any other time from the continuous extension
+of the accepted step around it, whose 3 extra stages `integrate_batch`
+never computes.
 
 The integral of Re tr A behind Liouville's identity is a scalar quadrature:
 adaptive Gauss-Legendre on the compiled diagonal entries of the
@@ -49,9 +61,13 @@ TRACE_QUAD_POINTS = 10
 # relative rounding floor of a Gauss-Legendre sum
 _ROUNDING = 64 * np.finfo(float).eps
 # trial steps (accepted and rejected) one integration may take: over 50x the
-# most any test, demo or benchmark input needs (561, for 40 periods of a
-# paper system at rel_tol 1e-8; benchmark inputs need at most 59)
+# most any test, demo or benchmark input needs (570, for 40 periods of a
+# paper system at rel_tol 1e-8; benchmark inputs need at most 81, demos 63)
 MAX_STEPS = 30_000
+# the most steps in one window (see above).  On the benchmark inputs, 12
+# integrated periodic systems about 20% faster than 8 and Hill charts as
+# fast; 16 made Hill charts slower and their arrays larger
+WINDOW = 12
 
 
 class StepUnderflow(ArithmeticError):
@@ -87,6 +103,13 @@ class IntegratorConfig:
             raise ValueError("rk4_step must be positive")
 
 
+class StepCounts(NamedTuple):
+    """The work of one integration."""
+    accepted: int           # accepted steps
+    trials: int             # trial steps, accepted or not
+    coefficient_calls: int  # array evaluations of A(t)
+
+
 class Trajectory:
     """Accepted steps t_0 < ... < t_m, M at each, and M(t) in between.
 
@@ -94,12 +117,14 @@ class Trajectory:
     F_1, ... of step s's continuous extension: with x = (t - t_s) / (t_{s+1}
     - t_s), M(t) = M(t_s) + x (F_0 + (1 - x) (F_1 + x (F_2 + (1 - x) (F_3 +
     ...)))).  F_0, F_1 and F_2 alone make the cubic Hermite interpolant.
+    `counts` is the integration's StepCounts.
     """
 
-    def __init__(self, times, states, extension):
+    def __init__(self, times, states, extension, counts):
         self.times = np.asarray(times)
         self.states = list(states)
         self.extension = extension
+        self.counts = counts
 
     @property
     def final(self):
@@ -131,31 +156,30 @@ class Trajectory:
 
 class _Method(NamedTuple):
     """An explicit Runge-Kutta method; the stage after the step's own is
-    f(t + h, y_new), the next step's first.  Weights are arrays shaped
-    (stages, 1, 1, 1), to scale a stack of stages."""
-    times: np.ndarray  # step fraction of each stage after the first
+    f(t + h, y_new).  Weights are arrays shaped (stages, 1, 1, 1, 1), to
+    scale a stack of stage propagators."""
+    c: np.ndarray      # step fraction of each stage, shaped (stages, 1, 1)
     last: int          # the stage f(t + h, y_new); the stages after it
                        # are the continuous extension's
     a: tuple           # weights of the earlier stages, per stage after
                        # the first: the last stage's are those of y_new
-    err: np.ndarray    # 5th- and 3rd-order local error weights, or None
-    dense: np.ndarray  # weights of the extension's F_3, F_4, ...
+    err: tuple         # 5th- and 3rd-order local error weights, or none
+    dense: tuple       # weights of the extension's F_3, F_4, ...
 
 
 def _method(c, a, b, err5=None, bhh=None, extra_c=(), extra_a=(), dense=()):
     """A _Method from stage fractions c (c[0] = 0) and weight lists.  The
     3rd-order error weights are b - bhh; the extension's extra stages come
     at the fractions extra_c, after f(t + h, y_new)."""
-    return _Method(np.array(c[1:] + (1.0,) + extra_c)[:, None], len(b),
+    return _Method(np.array(c + (1.0,) + extra_c)[:, None, None], len(b),
                    tuple(_weights(*a, b, *extra_a)),
-                   None if err5 is None
-                   else np.stack(_weights(err5, np.subtract(b, bhh))),
-                   np.stack(_weights(*dense)) if dense
-                   else np.zeros((0, 1, 1, 1, 1)))
+                   tuple(_weights(err5, np.subtract(b, bhh))) if err5 else (),
+                   tuple(_weights(*dense)))
 
 
 def _weights(*rows):
-    return [np.array(row, dtype=float)[:, None, None, None] for row in rows]
+    return [np.array(row, dtype=float)[:, None, None, None, None]
+            for row in rows]
 
 
 # Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -236,16 +260,22 @@ def integrate(spec, t0, t1, M0, cfg=None, params=None):
     cfg = cfg or IntegratorConfig()
     _check_shapes(spec, t0, t1, M0)
 
+    calls = 0
+
     def coefficients(members, t):
+        nonlocal calls
+        calls += 1
         return spec.adjoint(t, params)
 
     steps = [[]]
-    (outcome,) = _run(coefficients, t0, t1, adjoint(M0)[None], cfg, steps)
+    (outcome,), (trials,) = _run(coefficients, t0, t1, adjoint(M0)[None],
+                                 cfg, steps)
     if isinstance(outcome, Exception):
         raise outcome
-    times, ys, extension = zip(*steps[0])
-    states = [QMatrix(data) for data in quaternion_data(np.stack(ys))]
-    return Trajectory((t0,) + times, [M0] + states, np.stack(extension))
+    times, ys, extension = (np.concatenate(part) for part in zip(*steps[0]))
+    states = [QMatrix(data) for data in quaternion_data(ys)]
+    return Trajectory(np.concatenate(([t0], times)), [M0] + states, extension,
+                      StepCounts(len(times), int(trials), calls))
 
 
 def integrate_batch(spec, t0, t1, M0, params, cfg=None):
@@ -271,9 +301,9 @@ def integrate_batch(spec, t0, t1, M0, params, cfg=None):
                                 for name, values in params.items()})
 
     y0 = np.broadcast_to(adjoint(M0), (size,) + (2 * spec.n,) * 2)
+    outcomes, _ = _run(coefficients, t0, t1, y0, cfg)
     return [outcome if isinstance(outcome, Exception)
-            else QMatrix(quaternion_data(outcome))
-            for outcome in _run(coefficients, t0, t1, y0, cfg)]
+            else QMatrix(quaternion_data(outcome)) for outcome in outcomes]
 
 
 def _check_shapes(spec, t0, t1, M0):
@@ -284,42 +314,61 @@ def _check_shapes(spec, t0, t1, M0):
 
 
 def _finite(y):
-    return np.isfinite(y).reshape(len(y), -1).all(axis=1)
+    return np.isfinite(y).all(axis=(-2, -1))
 
 
-def _trial(method, coefficients, cfg, dense, members, t, h, y, f, size):
-    """One trial step of every member.  Returns y_new, f(t + h, y_new), the
-    sum norm of y_new, the local error relative to the tolerance (None for
-    a fixed step) and, with `dense`, the step's continuous extension as a
-    Trajectory stores it, members on the second axis; `size` is the sum
-    norm of y."""
-    step = h[:, None, None]
+def _window(method, coefficients, cfg, dense, t1, members, t, h, n, y):
+    """n trial steps of length h from t for each member, computed together.
+
+    Each stage's h M' is K_s y for the propagator K_s = h A_s (I + sum_j
+    a_sj K_j), and y_{w+1} = R_w y_w.  The step axis has length W = max(n);
+    a member with fewer steps repeats its last one there, unused.  Returns
+    the states y_0 .. y_W and their sum norms, each step's local error
+    relative to the tolerance (None for a fixed step), h M' at each step's
+    end and, with `dense`, each step's continuous extension as a Trajectory
+    stores it (steps on the second axis, members on the third).  Every
+    operation is elementwise or one product per matrix, so a member's
+    results do not depend on the rest of the batch.
+    """
     last = method.last
-    # A at every stage time of the step, evaluated together, times h
-    hA = coefficients(members, t + h * method.times[
-        :None if dense else last]) * step
-    # k[s] is h times the derivative at stage s
-    k = np.empty((len(hA) + 1,) + y.shape, dtype=complex)
-    k[0] = f * step
-    for s in range(1, len(k)):
-        argument = y + np.add.reduce(method.a[s - 1] * k[:s])
-        k[s] = hA[s - 1] @ argument
+    width = n.max()
+    w = np.minimum(np.arange(width)[:, None], n - 1)
+    fractions = method.c if dense else method.c[:last + 1]
+    # h A at every stage time of the window, evaluated together, shaped
+    # (stages, steps, members, 2n, 2n); stage by stage, K[s] = h A_s turns
+    # into the propagator K_s
+    K = coefficients(members, np.minimum(t + (w + fractions) * h, t1))
+    K *= h[:, None, None]
+    eye = np.eye(y.shape[-1])
+    for s in range(1, len(K)):
+        argument = eye + np.add.reduce(method.a[s - 1] * K[:s])
+        K[s] = K[s] @ argument
         if s == last:
-            y_new = argument
-    size_new = sum_norms(y_new)
+            R = argument
+    ys = np.empty((width + 1,) + y.shape, dtype=complex)
+    ys[0] = y
+    for step in range(width):
+        ys[step + 1] = R[step] @ ys[step]
+    sizes = sum_norms(ys)
+    # K_0, K_last (h M' at the step's end), the error and extension weights,
+    # each applied to its step's start state
+    weights = method.err + (method.dense if dense else ())
+    products = np.stack([K[0], K[last]] + [
+        np.add.reduce(row * K[:len(row)]) for row in weights]) @ ys[:-1]
     err = extension = None
-    if method.err is not None:
-        e5, e3 = sum_norms(np.add.reduce(method.err * k[:last], axis=1)) / (
-            cfg.abs_tol + cfg.rel_tol * np.maximum(size, size_new))
+    if method.err:
+        e5, e3 = sum_norms(products[2:4]) / (
+            cfg.abs_tol + cfg.rel_tol * np.maximum(sizes[:-1], sizes[1:]))
         # Hairer's combination of the two estimates; 0 when both vanish
         denominator = np.sqrt(e5 * e5 + 0.01 * e3 * e3)
         err = np.where(denominator == 0.0, 0.0, e5 * e5 / denominator)
     if dense:
-        delta = y_new - y
+        k0, k_last = products[:2]
+        delta = ys[1:] - ys[:-1]
         extension = np.concatenate((
-            [y, delta, k[0] - delta, 2.0 * delta - k[0] - k[last]],
-            np.add.reduce(method.dense * k, axis=1)))
-    return y_new, k[last] / step, size_new, err, extension
+            [ys[:-1], delta, k0 - delta, 2.0 * delta - k0 - k_last],
+            products[2 + len(method.err):]))
+    return ys, sizes, err, products[1], extension
 
 
 def _isolated(attempt, members, *rows):
@@ -347,32 +396,34 @@ def _run(coefficients, t0, t1, y0, cfg, steps=None):
     coefficients(members, t) is the stack of adjoints of A at the times t,
     an array whose last axis runs over the batch members (indices) given;
     its shape is t.shape + (2n, 2n).  Returns, per member, its final
-    adjoint or the ArithmeticError that ended it.  With `steps`, a list per
-    member, each accepted step's (t, y, continuous extension) is appended.
+    adjoint or the ArithmeticError that ended it, and the array of trial
+    steps each member took.  With `steps`, a list per member, the accepted
+    steps of each window are appended as arrays of their end times, states
+    and continuous extensions.
     """
     method = _RK4 if cfg.method == "rk4" else _DOP853
     span = t1 - t0
-    first = cfg.rk4_step if method.err is None else min(span / 100.0, 0.1)
+    first = min(span / 100.0, 0.1) if method.err else cfg.rk4_step
     outcomes = [None] * len(y0)
+    trial_counts = np.zeros(len(y0), dtype=int)
     # one row per member still running; `members` holds their batch indices
     members = np.arange(len(y0))
     t = np.full(len(y0), float(t0))
     h = np.full(len(y0), first)
     trials = np.zeros(len(y0), dtype=int)
+    length = np.ones(len(y0), dtype=int)
     y = np.asarray(y0)
-    f = size = None
 
     def retire(results):
         """Record {row: final adjoint or error} and drop those rows."""
-        nonlocal members, t, h, trials, y, f, size
+        nonlocal members, t, h, trials, length, y
         for row, result in results.items():
             outcomes[members[row]] = result
+            trial_counts[members[row]] = trials[row]
         keep = np.ones(len(members), dtype=bool)
         keep[list(results)] = False
-        members, t, h, trials, y = (
-            a[keep] for a in (members, t, h, trials, y))
-        if f is not None:
-            f, size = f[keep], size[keep]
+        members, t, h, trials, length, y = (
+            a[keep] for a in (members, t, h, trials, length, y))
 
     def not_finite(rows, at):
         return {row: NonFiniteState(f"M(t) or M'(t) is not finite at "
@@ -381,21 +432,19 @@ def _run(coefficients, t0, t1, y0, cfg, steps=None):
     def derivative(members, t, y):
         return coefficients(members, t) @ y
 
-    trial = functools.partial(_trial, method, coefficients, cfg,
-                              steps is not None)
+    window = functools.partial(_window, method, coefficients, cfg,
+                               steps is not None, t1)
 
     with np.errstate(all="ignore"):
-        while True:     # f(t0); members whose A(t0) fails leave, the rest retry
+        while True:     # M'(t0); members whose A(t0) fails leave, the rest retry
             f, errors = _isolated(derivative, members, t, y)
             if not errors:
                 break
             retire(errors)
-        size = sum_norms(y)
-        bad = ~(_finite(f) & np.isfinite(size))
+        bad = ~(_finite(f) & np.isfinite(sum_norms(y)))
         if bad.any():
             retire(not_finite(np.flatnonzero(bad), t))
         while len(members):
-            h = np.minimum(h, t1 - t)
             # arrival wins over a step underflow, which wins over the budget
             ended = {row: StepBudgetExceeded(f"more than {MAX_STEPS} steps, "
                                              f"stopped at t={t[row]:.6g}")
@@ -408,28 +457,53 @@ def _run(coefficients, t0, t1, y0, cfg, steps=None):
             if ended:
                 retire(ended)
                 continue
-            result, errors = _isolated(trial, members, t, h, y, f, size)
+            # a window that reaches t1 takes equal steps that end exactly
+            # there; the budget may cut a window short
+            remaining = t1 - t
+            need = np.ceil(remaining / h * (1.0 - 1e-9))
+            n = np.minimum(np.minimum(need, length),
+                           MAX_STEPS - trials).astype(int)
+            arrives = n == need
+            h = np.where(arrives, remaining / need, h)
+            result, errors = _isolated(window, members, t, h, n, y)
             if errors:
                 retire(errors)
                 continue
-            y_new, f_new, size_new, err, extension = result
-            trials += 1
-            ok = np.full(len(members), True) if err is None else err <= 1.0
-            t = np.where(ok, t + h, t)
-            y = np.where(ok[:, None, None], y_new, y)
-            f = np.where(ok[:, None, None], f_new, f)
-            size = np.where(ok, size_new, size)
+            ys, sizes, err, hf, extension = result
+            trials += n
+            rows = np.arange(len(members))
+            ahead = np.arange(len(ys) - 1)[:, None]
+            ends = t + (ahead + 1) * h
+            ends[n - 1, rows] = np.where(arrives, t1, ends[n - 1, rows])
+            # the longest prefix of finite steps within the tolerance is
+            # accepted; the step after it, if real, was rejected or, when
+            # within the tolerance, ends its member as not finite
+            real = ahead < n
+            within = real if err is None else real & (err <= 1.0)
+            accepted = np.logical_and.accumulate(
+                within & np.isfinite(sizes[1:]) & _finite(hf)).sum(axis=0)
+            after = np.minimum(accepted, len(ahead) - 1)
+            failed = (accepted < n) & within[after, rows]
             if steps is not None:
-                for row in np.flatnonzero(ok):
-                    steps[members[row]].append((float(t[row]), y_new[row],
-                                                extension[:, row]))
-            # a nan error estimate shrinks the step
-            h = (np.full(len(members), first) if err is None
-                 else h * np.fmin(5.0, np.fmax(0.2, 0.9 * err ** -0.125)))
-            bad = ok & ~(np.isfinite(size_new) & _finite(f_new))
-            if bad.any():
-                retire(not_finite(np.flatnonzero(bad), t))
-    return outcomes
+                for row in np.flatnonzero(accepted):
+                    count = accepted[row]
+                    steps[members[row]].append((
+                        ends[:count, row], ys[1:count + 1, row],
+                        extension[:, :count, row].swapaxes(0, 1)))
+            t = np.where(accepted > 0, ends[accepted - 1, rows], t)
+            length = np.where(accepted > 0, WINDOW, length)
+            y = ys[accepted, rows]
+            # the next step comes from the rejected step's error, or else the
+            # window's largest; a nan error estimate shrinks the step
+            if err is None:
+                h = np.full(len(members), first)
+            else:
+                worst = np.where(accepted < n, err[after, rows],
+                                 np.where(real, err, 0.0).max(axis=0))
+                h = h * np.fmin(5.0, np.fmax(0.2, 0.9 * worst ** -0.125))
+            if failed.any():
+                retire(not_finite(np.flatnonzero(failed), ends[after, rows]))
+    return outcomes, trial_counts
 
 
 @functools.cache

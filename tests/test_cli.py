@@ -224,6 +224,33 @@ def test_parser_limits_exit_2(capsys):
     assert "nests deeper" in err and "exceeds" in err
 
 
+def test_shared_parser_reports_as_a_first_call(capsys):
+    # `main` builds its parser once per process; calls in alternating modes
+    # and flags must report what each reports as the process's first call
+    calls = [
+        ["hill", "--period", "pi", "--a", HILL_COEFF, "--rtol", "1e-9"],
+        ["constant", "--entry", "1", "j", "--entry", "0", "-1",
+         "--format", "csv"],
+        ["--format", "json", "constant", "--entry", "0"],
+        ["sweep", "--period", "pi", "--a", "p + j*cos(2*t)", "--p-grid=1,2",
+         "--format", "csv", "--atol", "1e-13"],
+        ["periodic", "--period", "pi", "--entry", "x"],
+        ["constant", "--entry", "0", "--format", "json"],
+    ]
+
+    def outcome(argv):
+        code = main(argv)
+        return code, *capsys.readouterr()
+
+    first = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        first.append(outcome(argv))
+    assert {code for code, _, _ in first} == {0, 2}
+    for argv, expected in [*zip(calls, first), *zip(calls[::-1], first[::-1])]:
+        assert outcome(argv) == expected
+
+
 def test_replay_reproduces_report(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     run_cli(["hill", "--period", "pi", "--a", HILL_COEFF,

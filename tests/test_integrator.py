@@ -13,11 +13,13 @@ from qfloquet.qmatrix import QMatrix, allclose, expm, qdet
 from qfloquet.quaternion import DivisionByZero, J, K, Quaternion
 
 from conftest import CONST_DECAYING_2X2
+from test_acceptance import _random_periodic_spec as criterion_7_spec
 
 # the module, which the package's `integrate` function shadows as an attribute
 integrate_module = importlib.import_module("qfloquet.integrate")
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+REFERENCE = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
 
 
 def growing_periodic_spec():
@@ -107,7 +109,7 @@ def test_dop853_tableau_matches_scipy():
         "scipy.integrate._ivp.dop853_coefficients")
     method = integrate_module._DOP853
     # stages: the step's 12, f(t + h, y_new), then the extension's 3
-    c = [0.0] + method.times.ravel().tolist()
+    c = method.c.ravel().tolist()
     assert c == reference.C.tolist()
     for s, row in enumerate(method.a, 1):
         assert row.ravel().tolist() == reference.A[s, :s].tolist()
@@ -172,8 +174,71 @@ def test_dense_output_interpolation():
 
 def test_normal_form_takes_few_steps(fd_growing):
     # a third of the 274 accepted steps a Dormand-Prince 5(4) pair takes
-    # here at the same tolerances
+    # here at the same tolerances (it takes 47)
     assert len(fd_growing.trajectory.times) - 1 <= 274 // 3
+
+
+def test_normal_form_evaluates_a_once_per_window(fd_growing):
+    # A(t) is evaluated at t0 and then once per window of steps: the
+    # growing fixture's [0, 2T] integration takes 47 steps in 6 calls
+    counts = fd_growing.trajectory.counts
+    assert counts.accepted == len(fd_growing.trajectory.times) - 1
+    assert counts.trials >= counts.accepted
+    # a window holds at most WINDOW trial steps
+    windows = math.ceil(counts.trials / integrate_module.WINDOW)
+    assert 1 + windows <= counts.coefficient_calls <= counts.accepted / 4
+
+
+def test_windows_match_a_tight_reference():
+    rng = np.random.default_rng(97)
+    for _ in range(6):
+        spec = criterion_7_spec(rng)
+        final = integrate(spec, 0.0, 2 * math.pi, QMatrix.identity(2)).final
+        reference = integrate(spec, 0.0, 2 * math.pi, QMatrix.identity(2),
+                              REFERENCE).final
+        assert (final - reference).sum_norm() <= 1e-9 * reference.sum_norm()
+
+
+@pytest.mark.parametrize("cfg, tol", [
+    (IntegratorConfig(), 1e-9),
+    (IntegratorConfig(method="rk4", rk4_step=0.3), 1e-2)])
+def test_last_window_ends_exactly_at_t1(cfg, tol, monkeypatch):
+    # neither step size divides [0, 2.9]; A is never evaluated past t1
+    spec = growing_periodic_spec()
+    latest = []
+    adjoint = spec.adjoint
+    monkeypatch.setattr(spec, "adjoint", lambda t, params=None: (
+        latest.append(np.max(t)), adjoint(t, params))[1])
+    traj = integrate(spec, 0.0, 2.9, QMatrix.identity(2), cfg)
+    assert traj.times[-1] == 2.9
+    assert np.all(np.diff(traj.times) > 0)
+    assert max(latest) <= 2.9
+    direct = integrate(spec, 0.0, 2.9, QMatrix.identity(2), REFERENCE).final
+    assert (traj.final - direct).sum_norm() <= tol * direct.sum_norm()
+
+
+def test_sharp_coefficient_rejects_steps_mid_window(monkeypatch):
+    # a narrow bump at t = 1 rejects a step after earlier steps of its
+    # window were accepted; M(t) = exp((3 + 2i) * integral of the bump)
+    spec = MatrixSpec.from_strings([["exp(-100*(t-1)^2)*(3 + 2*i)"]])
+    errors = []     # each window's step errors
+    window = integrate_module._window
+
+    def recording(*args):
+        result = window(*args)
+        errors.append(result[2][:args[-2][0], 0])
+        return result
+    monkeypatch.setattr(integrate_module, "_window", recording)
+    traj = integrate(spec, 0.0, 2.0, QMatrix.identity(1))
+    assert any(0 < np.argmax(~(err <= 1.0)) for err in errors)
+    assert traj.counts.trials > traj.counts.accepted
+    assert np.all(np.diff(traj.times) > 0)
+    reference = integrate(spec, 0.0, 2.0, QMatrix.identity(1), REFERENCE)
+    assert (traj.final - reference.final).sum_norm() <= \
+        1e-9 * reference.final.sum_norm()
+    exact = np.exp((3 + 2j) * math.sqrt(math.pi) / 10 * math.erf(10))
+    assert abs(complex(traj.final[0, 0].q0, traj.final[0, 0].q1)
+               - exact) <= 1e-9 * abs(exact)
 
 
 def test_step_underflow_near_singularity():
@@ -205,7 +270,7 @@ def test_liouville_relative_to_expected_determinant(fd_growing,
 
 
 def test_step_budget_fails_loudly(monkeypatch):
-    # the integration needs 23 accepted steps
+    # the integration needs 27 accepted steps
     monkeypatch.setattr(integrate_module, "MAX_STEPS", 10)
     with pytest.raises(StepBudgetExceeded):
         integrate(growing_periodic_spec(), 0.0, math.pi, QMatrix.identity(2))
@@ -223,6 +288,20 @@ def test_non_finite_state_fails_loudly():
         integrate(MatrixSpec.from_strings([["1000"]]), 0.0, 100.0,
                   QMatrix.identity(1), IntegratorConfig(method="rk4",
                                                         rk4_step=0.5))
+
+
+def test_integrate_and_batch_take_the_same_steps():
+    # the continuous extension's extra stages do not change a step
+    spec = MatrixSpec.from_strings(
+        [["0", "1"], ["-(p + 0.7*j*cos(2*t) - 0.4*k*sin(2*t))", "0"]],
+        variables=("t", "p"), period=math.pi)
+    grid = [-2.0, 0.5, 3.0, 7.5]
+    outcomes = integrate_batch(spec, 0.0, math.pi, QMatrix.identity(2),
+                               {"p": grid})
+    for p, outcome in zip(grid, outcomes):
+        alone = integrate(spec, 0.0, math.pi, QMatrix.identity(2),
+                          params={"p": p}).final
+        assert np.array_equal(outcome.data, alone.data)
 
 
 def test_batch_member_failures_stay_in_their_rows():
