@@ -486,10 +486,18 @@ def build_parser():
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--replay",
                         help="re-run a previous JSON report and verify determinism")
+    for flag in ("--rtol", "--atol"):
+        parser.add_argument(flag, type=float, default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--format", choices=("text", "json", "csv"),
+                        help=argparse.SUPPRESS)
+    parser.add_argument("--out", help=argparse.SUPPRESS)
+    # the options shared with the top level default to nothing in a mode, so
+    # a value given before the mode is kept and one given after it wins
+    shared = {"default": argparse.SUPPRESS}
     sub = parser.add_subparsers(dest="mode")
     for name in ("constant", "periodic", "hill", "sweep"):
         mode_parser = sub.add_parser(name)
-        mode_parser.add_argument("--config", help="JSON config file")
+        mode_parser.add_argument("--config", help="JSON config file", **shared)
         mode_parser.add_argument("--entry", nargs="+", action="append",
                                  help="matrix entries; rows separated by ';'")
         mode_parser.add_argument("--a", help="Hill coefficient expression a(t)")
@@ -497,15 +505,12 @@ def build_parser():
         mode_parser.add_argument("--p-grid", dest="p_grid",
                                  help="sweep grid, comma separated")
         mode_parser.add_argument("--jobs", type=int, default=None)
-        mode_parser.add_argument("--rtol", type=float, default=None)
-        mode_parser.add_argument("--atol", type=float, default=None)
-        mode_parser.add_argument("--format", choices=("text", "json", "csv"))
-        mode_parser.add_argument("--out", help="output path (default stdout)")
-    for flag in ("--rtol", "--atol"):
-        parser.add_argument(flag, type=float, default=None, help=argparse.SUPPRESS)
-    parser.add_argument("--format", choices=("text", "json", "csv"),
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--out", help=argparse.SUPPRESS)
+        mode_parser.add_argument("--rtol", type=float, **shared)
+        mode_parser.add_argument("--atol", type=float, **shared)
+        mode_parser.add_argument("--format", choices=("text", "json", "csv"),
+                                 **shared)
+        mode_parser.add_argument("--out", help="output path (default stdout)",
+                                 **shared)
     return parser
 
 

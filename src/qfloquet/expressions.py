@@ -473,10 +473,11 @@ def evaluate(node, t, params=None):
 
 
 def grid_max(measure, period, points=GRID_POINTS):
-    """Largest measure(t) over `points` equally spaced times in [0, period);
-    nan when any measure(t) is nan."""
-    return float(np.max([measure(float(t)) for t in
-                         np.linspace(0.0, period, points, endpoint=False)]))
+    """Largest value of measure(t) over `points` equally spaced times in
+    [0, period), called once on the array of those times; nan when any
+    value is nan."""
+    return float(np.max(measure(np.linspace(0.0, period, points,
+                                            endpoint=False))))
 
 
 # -- rendering ----------------------------------------------------------------
@@ -628,7 +629,7 @@ class MatrixSpec:
         period = self.period
 
         def drift(t):
-            return sum(math.hypot(*map(operator.sub, f(t, params),
-                                       f(t + period, params)))
+            return sum(hypot(*map(operator.sub, f(t, params),
+                                  f(t + period, params)))
                        for f in self._entry_fns)
         return grid_max(drift, period, grid_points)

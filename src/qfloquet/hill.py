@@ -24,6 +24,7 @@ from .floquet import (COEFF_PERIODICITY_TOL, STAB_TOL, Evidence, Stability,
                       classify_multipliers)
 from .integrate import integrate, integrate_batch
 from .qmatrix import QMatrix, adjoint, standard_eigenvalues
+from .quaternion import hypot
 
 # band half-width for trace comparisons against +-2
 TRACE_TOL = 1e-6
@@ -219,7 +220,7 @@ def classify_real(problem, cfg=None):
     asymptotically); on the boundary stability requires M(T) = +-I.
     """
     a = compile_expr(problem.a)
-    worst = grid_max(lambda t: math.hypot(*a(t, problem.params)[1:]),
+    worst = grid_max(lambda t: hypot(*a(t, problem.params)[1:]),
                      problem.period)
     if not worst <= REAL_COEFF_TOL:
         raise NotRealCoefficient(

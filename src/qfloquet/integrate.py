@@ -7,7 +7,7 @@ evaluated at all stage times of a window of steps in one array call
 (`MatrixSpec.adjoint`) and each stage is one batched matrix product.
 `integrate` runs it on one system and returns a Trajectory;
 `integrate_batch` runs it on members that share A(t) but bind its
-parameters to arrays of different values.  Nothing here needs SciPy.
+parameters to arrays of different values.  Nothing in qfloquet needs SciPy.
 
 The default method is DOP853, Dormand and Prince's adaptive 8th-order
 pair with its 7th-order continuous extension (Hairer, Norsett & Wanner,

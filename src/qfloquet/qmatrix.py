@@ -7,13 +7,17 @@ eigenvalues, exponentials and logarithms of quaternion matrices are computed
 on the adjoint and mapped back.  Right eigenvalues are reported through their
 standard (complex, nonnegative imaginary part) representatives.
 
-SciPy is imported by `expm` and the principal logarithm, on first use, so
-programs that never call them (Hill analyses, sweeps) do not load it.
+The exponential and the principal logarithm are numpy code: Pade-13
+scaling and squaring with a scaling power per member of a stack
+(`expm_adjoint`), and inverse scaling and squaring through Denman-Beavers
+square roots and a Gauss-Legendre form of the Pade approximant
+(`_principal_log`).  Nothing here needs SciPy.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -28,6 +32,16 @@ log = logging.getLogger(__name__)
 OMEGA_TOL = 1e-10
 # absolute clustering tolerance for distinct standard eigenvalues
 EIG_CLUSTER_TOL = 1e-6
+# rounding splits an eigenvalue with a Jordan chain of length m into m values
+# about eps^(1/m) ||A|| apart, which EIG_CLUSTER_TOL cannot rejoin once m >= 3,
+# and whose eigenvectors are nearly dependent.  m >= 3 values that it keeps
+# apart, linked within EIG_SPLIT_FACTOR times that spread, make the
+# multiplicity unresolvable when the eigenvector spans of their clusters are
+# dependent within EIG_SPLIT_DEPENDENCE; chains longer than EIG_SPLIT_LONGEST
+# are not looked for (eps^(1/m) is no longer small)
+EIG_SPLIT_FACTOR = 10.0
+EIG_SPLIT_DEPENDENCE = 1e-8
+EIG_SPLIT_LONGEST = 6
 # residual tolerance for recovered right eigenvectors, relative to ||A||
 EIGVEC_RESID_TOL = 1e-9
 # residual tolerance for logm, relative to ||C||
@@ -35,6 +49,25 @@ LOG_RESID_TOL = 1e-8
 # an eigenvalue this close (relatively) to the negative real axis forces the
 # quaternion-aware logarithm branches
 NEG_AXIS_TOL = 1e-8
+
+# expm: Pade-13 coefficients b_0..b_13 and the largest 1-norm the
+# approximant serves to double precision (Higham 2005, table 2.3)
+_EXPM_PADE = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+              1187353796428800.0, 129060195264000.0, 10559470521600.0,
+              670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+              960960.0, 16380.0, 182.0, 1.0)
+EXPM_THETA = 5.371920351148152
+# principal log: the points m of the Gauss-Legendre form of the [m/m] Pade
+# approximant, and the largest ||E||_1 at which that m keeps its error below
+# the unit roundoff (Higham, Functions of Matrices, table 11.1); one pair,
+# since theta holds only for its m
+LOG_PADE = (16, 0.723)
+# most square roots taken
+LOG_SQUARE_ROOTS = 64
+# Denman-Beavers square root: most steps, and the distance ||M - I||_1 from
+# which one more step converges (the distance is squared each step)
+SQRTM_STEPS = 64
+SQRTM_TOL = 1e-8
 
 
 class NonSquare(ValueError):
@@ -463,6 +496,37 @@ def _cluster(values, tol):
     return list(groups.values())
 
 
+def _unresolved_split(reps, eigs, vecs, scale):
+    """A group of m >= 3 paired values, linked within EIG_SPLIT_FACTOR *
+    eps^(1/m) * scale, that EIG_CLUSTER_TOL splits into clusters whose
+    adjoint eigenvectors are dependent; None when there is none."""
+    eps = np.finfo(float).eps
+    for m in range(3, min(len(reps), EIG_SPLIT_LONGEST) + 1):
+        link = EIG_SPLIT_FACTOR * eps ** (1.0 / m) * scale
+        for group in _cluster(reps, link):
+            clusters = _cluster(group, EIG_CLUSTER_TOL)
+            if len(group) >= m and len(clusters) > 1 \
+                    and _dependent_spans(reps, eigs, vecs, clusters):
+                return group
+    return None
+
+
+def _dependent_spans(reps, eigs, vecs, clusters):
+    """Whether the spans of the clusters' adjoint eigenvectors are dependent
+    within EIG_SPLIT_DEPENDENCE.  Each adjoint eigenvalue belongs to its
+    nearest paired value; dependence inside one cluster (a defective
+    eigenvalue that it resolves) does not count."""
+    standard = np.where(eigs.imag < 0, eigs.conj(), eigs)
+    owner = [min(reps, key=lambda r: abs(r - w)) for w in standard]
+    bases = []
+    for cluster in clusters:
+        span = vecs[:, [k for k, r in enumerate(owner) if r in cluster]]
+        u, svals, _ = np.linalg.svd(span, full_matrices=False)
+        bases.append(u[:, svals > EIG_SPLIT_DEPENDENCE * svals[0]])
+    svals = np.linalg.svd(np.hstack(bases), compute_uv=False)
+    return svals[-1] <= EIG_SPLIT_DEPENDENCE
+
+
 def _nullity(chi_shifted, rank_tol):
     svals = np.linalg.svd(chi_shifted, compute_uv=False)
     return int((svals <= rank_tol).sum())
@@ -480,13 +544,19 @@ def standard_eigenvalues(A):
         raise NonSquare("eigenvalues of a non-square matrix")
     n = A.rows
     chi = adjoint(A)
-    eigs = np.linalg.eig(chi)[0]
+    eigs, vecs = np.linalg.eig(chi)
     tau_pair = 1e-7 * max(1.0, A.sum_norm())
     reps = _pair_adjoint_eigenvalues([complex(w) for w in eigs], tau_pair)
     if len(reps) != n:
         raise PairingFailure(f"paired down to {len(reps)} values, expected {n}")
 
     chi_norm = np.linalg.norm(chi, 2)
+    split = _unresolved_split(reps, eigs, vecs, chi_norm)
+    if split is not None:
+        spread = max(abs(a - b) for a in split for b in split)
+        raise PairingFailure(
+            f"{len(split)} eigenvalues within {spread:.3e} of each other may "
+            "be one defective eigenvalue split by rounding")
     rank_tol = 1e-9 * chi_norm * (2 * n)
     entries = []
     for group in _cluster(reps, EIG_CLUSTER_TOL):
@@ -607,12 +677,43 @@ def expm(A):
     return from_adjoint(expm_adjoint(adjoint(A)), project=False)
 
 
+def _norm1(chi):
+    """Largest absolute column sum of each matrix in a stack."""
+    return np.abs(chi).sum(axis=-2).max(axis=-1)
+
+
 def expm_adjoint(chi):
     """The adjoint of the exponential of each quaternion matrix whose
     adjoint is given, for one adjoint or a stack of them: projected onto the
-    block form once its residue there is checked."""
-    import scipy.linalg
-    chi_e = scipy.linalg.expm(chi)
+    block form once its residue there is checked.
+
+    Pade-13 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4),
+    2005): each member is scaled by its own power 2^-s so that its 1-norm is
+    at most EXPM_THETA, and only the members that still need it are squared,
+    so a member's result does not depend on the rest of the stack.
+    """
+    chi = np.asarray(chi, dtype=complex)
+    A = chi.reshape((-1,) + chi.shape[-2:])
+    mantissa, exponent = np.frexp(_norm1(A) / EXPM_THETA)
+    # ceil(log2(norm / theta)), and no scaling for norms within theta
+    squarings = np.maximum(exponent - (mantissa == 0.5), 0)
+    A = A * np.ldexp(1.0, -squarings)[:, None, None]
+    b = _EXPM_PADE
+    ident = np.eye(A.shape[-1])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+    # (V - U)^-1 (V + U), written so that a zero matrix gives I exactly
+    R = ident + np.linalg.solve(V - U, 2.0 * U)
+    for k in range(int(squarings.max(initial=0))):
+        rows = np.flatnonzero(squarings > k)
+        square = R[rows]
+        R[rows] = square @ square
+    chi_e = R.reshape(chi.shape)
     res = omega_residual(chi_e)
     if res > OMEGA_TOL:
         raise OmegaViolation(
@@ -621,13 +722,75 @@ def expm_adjoint(chi):
 
 
 def _log_residual_ok(B, C, tol=LOG_RESID_TOL):
-    return (expm(B) - C).sum_norm() <= tol * max(1.0, C.sum_norm())
+    """True when expm(B) reproduces C within the residual contract; a
+    candidate whose exponential leaves the block set fails it."""
+    try:
+        return (expm(B) - C).sum_norm() <= tol * max(1.0, C.sum_norm())
+    except OmegaViolation:
+        return False
+
+
+@functools.cache
+def _log_pade_rule():
+    # built on first use: leggauss calls LAPACK, whose start-up would
+    # otherwise add about 1 MB to every process that imports this module
+    nodes, weights = np.polynomial.legendre.leggauss(LOG_PADE[0])
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
+def _sqrtm(X):
+    """Principal square root of X by the product-form Denman-Beavers
+    iteration with determinant scaling (Higham, Functions of Matrices,
+    ch. 6), or None when it does not converge in SQRTM_STEPS steps."""
+    d = X.shape[-1]
+    ident = np.eye(d)
+    M, Y = X, X
+    for _ in range(SQRTM_STEPS):
+        distance = _norm1(M - ident)
+        M_inv = np.linalg.inv(M)
+        mu2 = math.exp(-np.linalg.slogdet(M)[1] / d)
+        Y = 0.5 * math.sqrt(mu2) * Y @ (ident + M_inv / mu2)
+        M = 0.5 * ident + 0.25 * (mu2 * M + M_inv / mu2)
+        # the step from M within SQRTM_TOL of I squares that distance
+        if distance <= SQRTM_TOL:
+            return Y
+        if not math.isfinite(distance):
+            return None
+    return None
 
 
 def _principal_log(C):
-    import scipy.linalg
-    chi_l = scipy.linalg.logm(adjoint(C))
-    if omega_residual(chi_l) > OMEGA_TOL:
+    """The principal logarithm of C, from its adjoint, or None when the
+    iterations do not converge or the result is not finite or leaves the
+    block set.
+
+    Inverse scaling and squaring without a Schur form (Cheng, Higham,
+    Kenney & Laub, SIAM J. Matrix Anal. Appl. 22(4), 2001): X = C^(1/2^k)
+    by square roots until ||X - I||_1 <= theta of LOG_PADE, then
+    log C = 2^k log(I + E) with E = X - I, where log(I + E) is the
+    [m/m] Pade approximant, written as m-point Gauss-Legendre quadrature of
+    the integral of E (I + tE)^-1 over [0, 1].
+    """
+    X = adjoint(C)
+    ident = np.eye(X.shape[-1])
+    roots = 0
+    try:
+        while _norm1(X - ident) > LOG_PADE[1]:
+            root = _sqrtm(X) if roots < LOG_SQUARE_ROOTS else None
+            if root is None:
+                return None
+            # the root of a quaternion matrix is one: drop the rounding
+            # that leaves the block form, which later roots would amplify
+            X = project_omega(root)
+            roots += 1
+        E = X - ident
+        nodes, weights = _log_pade_rule()
+        terms = np.linalg.solve(ident + nodes[:, None, None] * E,
+                                np.broadcast_to(E, (len(nodes),) + E.shape))
+    except (np.linalg.LinAlgError, OverflowError):
+        return None
+    chi_l = np.tensordot(weights, terms, axes=1) * 2.0 ** roots
+    if not omega_residual(chi_l) <= OMEGA_TOL:    # nan fails too
         return None
     return from_adjoint(chi_l)
 
@@ -1027,7 +1190,10 @@ def logm(C):
             return candidate
     # last resort: polish the closest candidate through the expm derivative
     for candidate in candidates:
-        polished = _newton_polish(candidate, C)
+        try:
+            polished = _newton_polish(candidate, C)
+        except OmegaViolation:
+            continue
         if _log_residual_ok(polished, C):
             log.debug("logarithm accepted after least-squares polishing")
             return polished

@@ -155,15 +155,48 @@ def test_sweep_rows_match_analyze(capsys):
         assert cli._numeric_match(expected, {k: row[k] for k in expected})
 
 
-def test_sweep_leaves_scipy_linalg_unloaded():
+SCIPY_FREE_RUNS = (
+    ["constant", "--entry", "1", "i", ";", "0", "j", "--format", "json"],
+    ["periodic", "--period", "pi", "--entry", *GROWING_ENTRIES,
+     "--format", "json"],
+    ["hill", "--period", "pi", "--a", HILL_COEFF, "--format", "json"],
+    ["sweep", "--period", "pi", "--a", "p + j*cos(2*t)", "--p-grid=0,1",
+     "--format", "csv"],
+)
+
+
+def test_sweep_leaves_scipy_linalg_unloaded(capsys):
+    # importing SciPy fails in the child, as if it were not installed: every
+    # mode, the sweep among them, must exit 0 with the output it gives here
     code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
             "from qfloquet import cli\n"
-            "code = cli.main(['sweep', '--period', 'pi', '--a', 'p + j*cos(2*t)',"
-            " '--p-grid=0,1', '--format', 'csv'])\n"
-            "print(code, 'scipy.linalg' in sys.modules)\n")
+            f"for argv in {SCIPY_FREE_RUNS!r}:\n"
+            "    print('exit', cli.main(argv))\n"
+            "print(sys.modules['scipy'], 'scipy.linalg' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.returncode == 0, proc.stderr
+    expected = []
+    for argv in SCIPY_FREE_RUNS:
+        assert run_cli(argv) == 0
+        expected += capsys.readouterr().out.splitlines() + ["exit 0"]
+    assert proc.stdout.splitlines() == expected + ["None False"]
+
+
+def test_options_before_the_mode_are_honored(tmp_path, capsys):
+    # a hidden top-level option used to be reset by the mode's default
+    out = tmp_path / "x.txt"
+    assert run_cli(["--out", str(out), "--format", "json", "--rtol", "1e-9",
+                    "--atol", "1e-11", "periodic", "--period", "pi",
+                    "--entry", *GROWING_ENTRIES]) == 0
+    assert capsys.readouterr().out == ""
+    report = json.loads(out.read_text())
+    assert report["config"]["integrator"] == {"rtol": 1e-9, "atol": 1e-11}
+    # given on both sides of the mode, the mode's value wins
+    assert run_cli(["--format", "json", "constant", "--entry", "0",
+                    "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("value_re,value_im")
 
 
 def test_unbounded_integration_exits_3():

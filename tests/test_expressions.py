@@ -246,11 +246,32 @@ def test_grid_max_propagates_nan():
     # built-in max() drops a nan that is not first
     for nan_at in ({0}, {5}, set(range(64))):
         assert math.isnan(grid_max(
-            lambda t: math.nan if round(t / 0.1) in nan_at else t, 6.4))
+            lambda t: np.where(np.isin(np.round(t / 0.1), list(nan_at)),
+                               math.nan, t), 6.4))
     assert grid_max(lambda t: t, 6.4) == pytest.approx(6.3)
     spec = MatrixSpec.from_strings([["p*cos(2*t)"]], period=math.pi,
                                    variables=("t", "p"))
     assert math.isnan(spec.periodicity_residual(params={"p": math.nan}))
+
+
+def test_grid_checks_are_one_array_call_and_fail_on_one_nan():
+    calls = []
+
+    def measure(t):
+        calls.append(t)
+        return np.where(np.arange(t.size) == 37, math.nan, t)
+    assert math.isnan(grid_max(measure, 6.4))
+    assert len(calls) == 1 and calls[0].shape == (64,)
+    # a parameter bound to one value per grid time: nan at one of them
+    from qfloquet.floquet import NotPeriodic, _require_periodic
+    spec = MatrixSpec.from_strings([["p*cos(2*t)", "1"], ["0", "p"]],
+                                   period=math.pi, variables=("t", "p"))
+    p = np.ones(64)
+    assert spec.periodicity_residual(params={"p": p}) < 1e-12
+    p[37] = math.nan
+    assert math.isnan(spec.periodicity_residual(params={"p": p}))
+    with pytest.raises(NotPeriodic):
+        _require_periodic(spec, {"p": p})
 
 
 def test_matrix_spec_from_qmatrix():

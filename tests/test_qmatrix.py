@@ -406,6 +406,86 @@ def test_long_real_jordan_chains_signal_ill_conditioning():
         logm(C)
 
 
+def test_split_jordan_chains_never_give_a_silent_multiplicity():
+    # the chain above under other similarities and 1e-15 perturbations of C:
+    # rounding splits -1 (am 3) into three values ~eps^(1/3) apart, which
+    # must never come back as a spectrum of smaller multiplicities
+    from qfloquet.qmatrix import LogFailure, PairingFailure
+    rng = np.random.default_rng(22)
+    rot = Quaternion(0, math.pi, 0, 0)
+    J = jordan_block_matrix([rot, rot, rot], ones={0, 1})
+    for _ in range(6):
+        S = random_similarity(rng, 3)
+        C = expm(S @ J @ inv(S))
+        for _ in range(3):
+            C_p = QMatrix(C.data + 1e-15 * rng.uniform(-1, 1, C.data.shape))
+            with pytest.raises(PairingFailure):
+                standard_eigenvalues(C_p)
+            with pytest.raises(LogFailure):
+                logm(C_p)
+
+
+def multiplicities(spectrum):
+    return [(e.algebraic_multiplicity, e.geometric_multiplicity)
+            for e in spectrum.entries]
+
+
+def test_close_simple_eigenvalues_are_not_taken_for_a_split_chain():
+    # as close as a chain split by rounding, or linked at the longest chain
+    # looked for, but with independent eigenvectors: all simple
+    rng = np.random.default_rng(25)
+    close = QMatrix.diag([Quaternion(1 + 3e-5 * k) for k in range(3)])
+    wide = QMatrix.diag([Quaternion(k) for k in range(1, 10)])
+    near_identity = QMatrix.identity(16) + 1e-3 * random_qmatrix(rng, 16)
+    cases = [close, wide, near_identity]
+    for C in (close, wide):
+        S = random_similarity(rng, C.rows)
+        cases.append(S @ C @ inv(S))
+    for C in cases:
+        assert multiplicities(standard_eigenvalues(C)) == [(1, 1)] * C.rows
+        B = logm(C)
+        assert (expm(B) - C).sum_norm() <= 1e-8 * C.sum_norm()
+
+
+def test_short_chain_beside_a_close_simple_eigenvalue_is_resolved():
+    # a length-2 chain (which EIG_CLUSTER_TOL resolves) 3e-5 from a simple
+    # eigenvalue: close values, but the clusters' eigenvectors are independent
+    rng = np.random.default_rng(26)
+    J = jordan_block_matrix([Quaternion(-1), Quaternion(-1),
+                             Quaternion(-1 - 3e-5)], ones={0})
+    for _ in range(5):
+        S = random_similarity(rng, 3)
+        spectrum = standard_eigenvalues(S @ J @ inv(S))
+        assert multiplicities(spectrum) == [(1, 1), (2, 1)]
+
+
+# C = expm(A) for a benchmark input (constant_algebra, seed 11, pair:2416):
+# its diagonalization candidate for log C has an exponential that leaves
+# the quaternion block set
+PAIR_2416_C = [
+    [[-1.3481594615369201, 0.03667599439808905, 0.11079843880172963, 0.04651172894637498],
+     [-0.06279974396409613, -0.0857927444378872, 0.09200625896900488, -0.10430190828660282],
+     [-0.5411085514206817, -0.24718310859650733, 0.2548103958208103, 0.10630051204657202]],
+    [[0.04917331245810521, 0.06459887636714777, 0.0019252345764290135, -0.008128008500100911],
+     [-1.4263765248113773, 0.06515302367834525, 0.057861245364737295, -0.004693106539123127],
+     [-0.025057410321103736, 0.18226483475278082, 0.27651655933556163, 0.2661789698915915]],
+    [[0.11196516508467494, -0.036099013409408826, -0.28305161857301075, 0.041000584207479054],
+     [0.21723619440615782, 0.2895496355125634, 0.04259305144004771, 0.22912977153112318],
+     [0.24055292165094141, 0.080826583704433, 0.18771931324383107, 0.13427432886610047]]]
+
+
+def test_logm_rejects_a_candidate_whose_exponential_leaves_the_block_set():
+    from qfloquet.qmatrix import (OmegaViolation, _log_by_diagonalization,
+                                  _log_residual_ok)
+    C = QMatrix(PAIR_2416_C)
+    candidate = _log_by_diagonalization(C, standard_eigenvalues(C))
+    with pytest.raises(OmegaViolation):
+        expm(candidate)
+    assert not _log_residual_ok(candidate, C)
+    B = logm(C)
+    assert (expm(B) - C).sum_norm() <= 1e-13 * C.sum_norm()
+
+
 def test_logm_round_trip_random():
     rng = np.random.default_rng(14)
     for _ in range(100):
@@ -413,6 +493,61 @@ def test_logm_round_trip_random():
         C = expm(random_qmatrix(rng, n))
         B = logm(C)
         assert (expm(B) - C).sum_norm() <= 1e-8 * max(1.0, C.sum_norm())
+
+
+def rotation_similar(rng, n, angles, radii):
+    """S diag(r_m e^(i a_m)) S^-1: standard eigenvalues at chosen angles."""
+    S = random_similarity(rng, n)
+    D = QMatrix.diag([Quaternion(r * math.cos(a), r * math.sin(a), 0, 0)
+                      for a, r in zip(angles, radii)])
+    return S @ D @ inv(S)
+
+
+def test_expm_and_logm_agree_with_scipy():
+    # SciPy serves only as an oracle here; the package itself never loads it
+    import scipy.linalg
+    from qfloquet.qmatrix import expm_adjoint
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3):
+        for scale in (0.0, 1e-3, 0.5, 3.0, 40.0, 300.0):   # 300: 7+ squarings
+            chi = adjoint(random_qmatrix(rng, n) * scale)
+            expected = scipy.linalg.expm(chi)
+            assert np.abs(expm_adjoint(chi) - expected).max() \
+                <= 1e-12 * np.abs(expected).max()
+    logs = [expm(random_qmatrix(rng, n) * scale)
+            for n in (1, 2, 3) for scale in (1e-3, 0.5, 1.5)]
+    logs.append(QMatrix.identity(3))
+    # spectra 0.01 radians from the negative real axis, where the logarithm
+    # is 100 times worse conditioned (closer, both agree only to about
+    # eps over the distance)
+    logs.append(rotation_similar(rng, 2, [math.pi - 0.01, 1.0], [1.0, 2.0]))
+    logs.append(rotation_similar(rng, 3, [math.pi - 0.01] * 2 + [0.3],
+                                 [0.5, 0.5, 1.0]))
+    for C in logs:
+        expected = scipy.linalg.logm(adjoint(C))
+        assert np.abs(adjoint(logm(C)) - expected).max() \
+            <= 1e-12 * max(1.0, np.abs(expected).max())
+
+
+def test_principal_log_is_accurate_at_the_pade_bound():
+    # ||C - I||_1 at LOG_PADE's theta takes no square root, so the Pade
+    # approximant alone meets its worst point, C = (1 - theta) I
+    from qfloquet.qmatrix import LOG_PADE, _principal_log
+    theta = LOG_PADE[1]
+    for c in (1 - theta, 1 + theta):
+        L = _principal_log(QMatrix.identity(2) * c)
+        assert abs(L[0, 0].q0 - math.log(c)) <= 1e-15 * abs(math.log(c))
+
+
+def test_expm_stack_member_equals_its_single_call():
+    from qfloquet.qmatrix import expm_adjoint
+    rng = np.random.default_rng(24)
+    stack = np.array([adjoint(random_qmatrix(rng, 2) * scale)
+                      for scale in (0.0, 1e-3, 1.0, 9.0, 250.0, 0.2)])
+    together = expm_adjoint(stack)
+    for member, result in zip(stack, together):
+        assert np.array_equal(expm_adjoint(member), result)
+    assert np.array_equal(expm_adjoint(stack[None]), together[None])
 
 
 def test_logm_rejects_singular():
