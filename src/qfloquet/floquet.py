@@ -19,9 +19,10 @@ import numpy as np
 
 from .expressions import GRID_POINTS
 from .integrate import integrate, trace_integral
-from .qmatrix import (EIG_CLUSTER_TOL, QMatrix, Singular, StandardSpectrum,
-                      adjoint, expm_adjoint, logm, quaternion_data,
-                      right_eigenvector, standard_eigenvalues, sum_norms)
+from .qmatrix import (EIG_CLUSTER_TOL, SINGULAR_TOL, QMatrix,
+                      StandardSpectrum, adjoint, expm_adjoint, logm,
+                      quaternion_data, right_eigenvector, standard_eigenvalues,
+                      sum_norms)
 from .quaternion import Quaternion
 
 # half-width of the tolerance band around the stability boundary
@@ -90,6 +91,7 @@ class FloquetData:
     P_samples: list
     periodicity_residual: float
     trajectory: object   # the [0, 2T] integration behind the samples
+    trace_integral: float   # integral of Re tr A over [0, T]
 
 
 # -- stability classification -------------------------------------------------
@@ -184,11 +186,13 @@ def monodromy(spec, cfg=None, params=None):
 
 
 def characteristic_multipliers(mono):
-    """Standard eigenvalues of the monodromy matrix."""
-    chi_svals = np.linalg.svd(adjoint(mono), compute_uv=False)
-    if chi_svals[-1] <= 1e-12 * max(1.0, chi_svals[0]):
-        raise Singular("monodromy matrix is numerically singular")
-    return standard_eigenvalues(mono)
+    """Standard eigenvalues of the monodromy matrix, which must be
+    invertible: M(T) as a QMatrix, or each member of a (B, 2n, 2n) stack of
+    monodromy adjoints, with `standard_eigenvalues`' conventions for a
+    stack (a singular member's entry is its Singular exception).  The
+    singularity test is logm's, so a spectrum from here can be handed to
+    `logm`."""
+    return standard_eigenvalues(mono, singular_tol=SINGULAR_TOL)
 
 
 def characteristic_exponents(multipliers, period):
@@ -220,7 +224,7 @@ def normal_form(spec, cfg=None, params=None):
                      params=params)
     mono = traj.matrix_at(T)
     multipliers = characteristic_multipliers(mono)
-    B = logm(mono) * (1.0 / T)
+    B = logm(mono, multipliers) * (1.0 / T)
     exponents = characteristic_exponents(multipliers, T)
 
     # P(t) = M(t) e^{-tB} and P(t + T) for t on the grid, as stacks of
@@ -237,7 +241,7 @@ def normal_form(spec, cfg=None, params=None):
     samples = [(t, QMatrix(data))
                for t, data in zip(grid, quaternion_data(P[:len(grid)]))]
     return FloquetData(T, mono, B, multipliers, exponents, samples,
-                       residual, traj)
+                       residual, traj, trace_integral(spec, 0.0, T, params))
 
 
 def periodic_solutions(fd, tol=EIG_CLUSTER_TOL):
@@ -267,9 +271,11 @@ def periodic_solutions(fd, tol=EIG_CLUSTER_TOL):
 
 
 def multiplier_product_check(fd, spec, params=None):
-    """Relative residual of prod |rho_j| against exp(integral of Re tr A)."""
-    integral = trace_integral(spec, 0.0, fd.period, params)
-    expected = math.exp(integral)
+    """Relative residual of prod |rho_j| against exp(integral of Re tr A).
+
+    The integral is the one `normal_form` computed for fd from `spec` and
+    `params`."""
+    expected = math.exp(fd.trace_integral)
     product = 1.0
     for rho in fd.multipliers.expanded():
         product *= abs(rho)
@@ -278,9 +284,8 @@ def multiplier_product_check(fd, spec, params=None):
 
 def exponent_sum_residual(fd, spec, params=None):
     """|Re(sum of exponents) - (1/T) integral Re tr A|, the companion identity
-    to the multiplier product formula."""
-    integral = trace_integral(spec, 0.0, fd.period, params)
+    to the multiplier product formula, with the integral carried on fd."""
     re_sum = 0.0
     for entry, mu in zip(fd.multipliers, fd.exponents):
         re_sum += entry.algebraic_multiplicity * mu.real
-    return abs(re_sum - integral / fd.period)
+    return abs(re_sum - fd.trace_integral / fd.period)

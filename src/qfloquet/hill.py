@@ -8,7 +8,9 @@ norm, reported, and an instability certificate from the traces of powers
 of M(T)), and the characteristic multipliers (authoritative).  A
 real-coefficient specialization reproduces the classical trace
 classification.  `analyze_batch` analyzes the points of a parameter grid
-(a stability chart) with one batched integration.
+(a stability chart) with one batched integration, and reports them all from
+array operations on the stack of their monodromy adjoints; `analyze` is its
+report for a batch of one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .floquet import (COEFF_PERIODICITY_TOL, STAB_TOL, Evidence, Stability,
                       StabilityVerdict, characteristic_multipliers,
                       classify_multipliers)
 from .integrate import integrate, integrate_batch
-from .qmatrix import QMatrix, adjoint, standard_eigenvalues
+from .qmatrix import QMatrix, adjoint, adjoints
 from .quaternion import hypot
 
 # band half-width for trace comparisons against +-2
@@ -106,36 +108,56 @@ def _trace_verdict(re_trace, M_T):
     return StabilityVerdict(Stability.UNDETERMINED, evidence)
 
 
-def _frobenius_verdict(M_T):
-    """UNSTABLE when a power M(T)^k, k = 1, 2, 4, ..., 64, certifies a
-    multiplier off the unit circle, else UNDETERMINED.
+def _frobenius_verdicts(chi):
+    """For each adjoint in the (B, 2n, 2n) stack: UNSTABLE when a power
+    M(T)^k, k = 1, 2, 4, ..., 64, certifies a multiplier off the unit circle,
+    else UNDETERMINED.
 
     Re tr M^k is the sum of Re(lambda^k) over the n standard eigenvalues, so
     |Re tr M^k| > n (1 + 2 STAB_TOL)^k forces some |lambda| > 1 + 2 STAB_TOL,
     beyond the band where the multiplier channel is undetermined.  The bound
     also allows for the rounding of M^k, k eps ||M^k||_F, and at least
-    TRACE_TOL.  The evidence is the power with the largest margin.
+    TRACE_TOL.  The evidence is the first power that certifies, or else the
+    power with the largest margin.
     """
-    chi = adjoint(M_T)
-    best = None
+    n = chi.shape[-1] // 2
+    traces, bounds = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for power in range(FROBENIUS_SQUARINGS):
             if power:
                 chi = chi @ chi
             k = 2 ** power
             # the adjoint doubles the trace and the squared Frobenius norm
-            trace = 0.5 * np.trace(chi).real
-            rounding = (k * np.finfo(float).eps * np.linalg.norm(chi)
-                        / math.sqrt(2.0))
-            bound = (M_T.rows * (1.0 + 2.0 * STAB_TOL) ** k
-                     + max(TRACE_TOL, rounding))
-            evidence = Evidence(complex(trace), f"Re tr M(T)^{k}", bound,
-                                abs(trace) - bound)
-            if evidence.margin > 0:
-                return StabilityVerdict(Stability.UNSTABLE, (evidence,))
-            if best is None or evidence.margin > best.margin:
-                best = evidence
-    return StabilityVerdict(Stability.UNDETERMINED, (best,))
+            traces.append(0.5 * np.trace(chi, axis1=-2, axis2=-1).real)
+            rounding = (k * np.finfo(float).eps
+                        * np.linalg.norm(chi, axis=(-2, -1)) / math.sqrt(2.0))
+            bounds.append(n * (1.0 + 2.0 * STAB_TOL) ** k
+                          + np.fmax(TRACE_TOL, rounding))
+        traces, bounds = np.array(traces), np.array(bounds)
+        margins = np.abs(traces) - bounds
+    certified = margins > 0
+    # a nan margin (an overflowed power) never serves as evidence
+    best = np.where(np.isnan(margins), -np.inf, margins).argmax(axis=0)
+    chosen = np.where(certified.any(axis=0), certified.argmax(axis=0), best)
+    members = np.arange(len(chosen))
+    verdicts = []
+    for power, trace, bound, margin in zip(
+            chosen.tolist(), traces[chosen, members].tolist(),
+            bounds[chosen, members].tolist(),
+            margins[chosen, members].tolist()):
+        evidence = Evidence(complex(trace), f"Re tr M(T)^{2 ** power}",
+                            bound, margin)
+        kind = Stability.UNSTABLE if margin > 0 else Stability.UNDETERMINED
+        verdicts.append(StabilityVerdict(kind, (evidence,)))
+    return verdicts
+
+
+def _k_eigenvalues(chi):
+    """Standard eigenvalues of K(T) = M(T) M(T)^dagger, ascending, for each
+    adjoint in a (B, 2n, 2n) stack: K's adjoint is Hermitian, and each of
+    its eigenvalues appears there twice."""
+    doubled = np.linalg.eigvalsh(chi @ chi.conj().swapaxes(-2, -1))
+    return 0.5 * (doubled[..., 0::2] + doubled[..., 1::2])
 
 
 def k_matrix_diagnostics(M_T):
@@ -145,11 +167,10 @@ def k_matrix_diagnostics(M_T):
     real.  The residual max |k^2 - ||M||_F^2 k + 1| probes whether the pair
     solves the trace/determinant quadratic; it is reported, not asserted.
     """
-    K = M_T @ M_T.dagger()
-    kappas = sorted(v.real for v in standard_eigenvalues(K).expanded())
+    k1, k2 = (float(k) for k in _k_eigenvalues(adjoint(M_T)[None])[0])
     frob_sq = M_T.frobenius_sq()
-    residual = max(abs(k * k - frob_sq * k + 1.0) for k in kappas)
-    return kappas[0], kappas[1], residual
+    residual = max(abs(k * k - frob_sq * k + 1.0) for k in (k1, k2))
+    return k1, k2, residual
 
 
 def _monodromy(problem, cfg):
@@ -160,14 +181,19 @@ def _monodromy(problem, cfg):
 
 def analyze(problem, cfg=None):
     """Integrate the companion system over one period and report all three
-    verdict channels."""
-    return _report(_monodromy(problem, cfg))
+    verdict channels: the report of a batch of one, so `analyze` and
+    `analyze_batch` share one implementation."""
+    (report,) = _reports([_monodromy(problem, cfg)])
+    if isinstance(report, Exception):
+        raise report
+    return report
 
 
 def analyze_batch(problems, cfg=None):
     """`analyze` for problems that share a(t) and the period and differ in
     their parameter values, integrated as one batch with each parameter bound
-    to an array of the members' values.
+    to an array of the members' values, and reported on the stack of their
+    monodromy adjoints.
 
     Returns one entry per problem: its HillReport, or the exception that
     ended it; a failed member leaves the others unchanged.  An entry is the
@@ -185,32 +211,47 @@ def analyze_batch(problems, cfg=None):
               for name in first.params or {}}
     outcomes = integrate_batch(companion(first), 0.0, first.period,
                                QMatrix.identity(2), params, cfg)
+    integrated = [k for k, outcome in enumerate(outcomes)
+                  if not isinstance(outcome, Exception)]
+    for k, report in zip(integrated,
+                         _reports([outcomes[k] for k in integrated])):
+        outcomes[k] = report
+    return outcomes
+
+
+def _reports(monodromies):
+    """The HillReport of each M(T) in a list, or the exception that ended
+    it, from array operations on the stack of their adjoints: Re tr M,
+    ||M||_F^2, the multipliers, K's eigenvalues and the seven squarings of
+    the Frobenius channel."""
+    if not monodromies:
+        return []
+    data = np.stack([M.data for M in monodromies])
+    chi = adjoints(data)
+    diagonal = np.arange(data.shape[1])
+    re_traces = data[:, diagonal, diagonal, 0].sum(axis=-1)
+    frob_sqs = (data ** 2).sum(axis=(1, 2, 3))
+    multipliers = characteristic_multipliers(chi)
+    k_eigs = _k_eigenvalues(chi)
+    frobenius = _frobenius_verdicts(chi)
     reports = []
-    for outcome in outcomes:
-        if not isinstance(outcome, Exception):
-            try:
-                outcome = _report(outcome)
-            except (ArithmeticError, ValueError) as exc:
-                outcome = exc
-        reports.append(outcome)
+    for M_T, re_trace, frob_sq, spectrum, kappas, verdict in zip(
+            monodromies, re_traces.tolist(), frob_sqs.tolist(), multipliers,
+            k_eigs.tolist(), frobenius):
+        if isinstance(spectrum, Exception):
+            reports.append(spectrum)
+            continue
+        reports.append(HillReport(
+            M_T=M_T,
+            re_trace=re_trace,
+            frob_sq=frob_sq,
+            multipliers=spectrum,
+            K_eigs=tuple(kappas),
+            verdict_trace=_trace_verdict(re_trace, M_T),
+            verdict_frobenius=verdict,
+            verdict_multipliers=classify_multipliers(spectrum),
+        ))
     return reports
-
-
-def _report(M_T):
-    re_trace = M_T.re_trace()
-    frob_sq = M_T.frobenius_sq()
-    multipliers = characteristic_multipliers(M_T)
-    k1, k2, _ = k_matrix_diagnostics(M_T)
-    return HillReport(
-        M_T=M_T,
-        re_trace=re_trace,
-        frob_sq=frob_sq,
-        multipliers=multipliers,
-        K_eigs=(k1, k2),
-        verdict_trace=_trace_verdict(re_trace, M_T),
-        verdict_frobenius=_frobenius_verdict(M_T),
-        verdict_multipliers=classify_multipliers(multipliers),
-    )
 
 
 def classify_real(problem, cfg=None):

@@ -46,6 +46,10 @@ EIG_SPLIT_LONGEST = 6
 EIGVEC_RESID_TOL = 1e-9
 # residual tolerance for logm, relative to ||C||
 LOG_RESID_TOL = 1e-8
+# logm, and characteristic_multipliers for M(T), treat a matrix as singular
+# when its adjoint's smallest singular value is within this factor of
+# max(1, largest)
+SINGULAR_TOL = 1e-12
 # an eigenvalue this close (relatively) to the negative real axis forces the
 # quaternion-aware logarithm branches
 NEG_AXIS_TOL = 1e-8
@@ -304,11 +308,17 @@ def adjoint(A):
     """
     if not A.is_square():
         raise NonSquare("adjoint requires a square matrix")
-    a1 = A.data[..., 0] + 1j * A.data[..., 1]
-    a2 = A.data[..., 2] + 1j * A.data[..., 3]
-    top = np.hstack([a1, a2])
-    bottom = np.hstack([-a2.conj(), a1.conj()])
-    return np.vstack([top, bottom])
+    return adjoints(A.data)
+
+
+def adjoints(data):
+    """(..., 2n, 2n) complex adjoints of (..., n, n, 4) quaternion components
+    (the inverse of `quaternion_data`)."""
+    a1 = data[..., 0] + 1j * data[..., 1]
+    a2 = data[..., 2] + 1j * data[..., 3]
+    top = np.concatenate([a1, a2], axis=-1)
+    bottom = np.concatenate([-a2.conj(), a1.conj()], axis=-1)
+    return np.concatenate([top, bottom], axis=-2)
 
 
 def omega_residual(chi):
@@ -412,10 +422,12 @@ class SpectrumEntry:
 
 class StandardSpectrum:
     """The n standard eigenvalues of a quaternion matrix, clustered into
-    distinct values with algebraic and geometric multiplicities."""
+    distinct values with algebraic and geometric multiplicities, and the
+    singular values of its adjoint when they were computed with them."""
 
-    def __init__(self, entries):
+    def __init__(self, entries, singular_values=None):
         self.entries = sorted(entries, key=lambda e: (e.value.real, e.value.imag))
+        self.singular_values = singular_values
 
     @property
     def n(self):
@@ -532,25 +544,75 @@ def _nullity(chi_shifted, rank_tol):
     return int((svals <= rank_tol).sum())
 
 
-def standard_eigenvalues(A):
-    """Standard spectrum of a square quaternion matrix.
+def standard_eigenvalues(A, singular_tol=None):
+    """Standard spectrum of a square quaternion matrix, or of each matrix in
+    a stack of adjoints.
 
-    The 2n adjoint eigenvalues are paired into conjugates, the n upper-half
-    representatives are clustered into distinct values, and geometric
-    multiplicities are read off the adjoint kernel dimensions (halved for
-    real eigenvalues, whose kernel sees both conjugate blocks).
+    `A` is a QMatrix, whose StandardSpectrum is returned, or a (B, 2n, 2n)
+    stack of complex adjoints, for which a list is returned with one entry
+    per member: its StandardSpectrum, or the exception that ended it
+    (PairingFailure, Singular, or LinAlgError for a non-finite member).  A
+    single matrix is a stack of one, so a member's entry is the same, bit
+    for bit, in a stack of any size.
+
+    One SVD and one eig serve the whole stack.  The 2n adjoint eigenvalues
+    are paired into conjugates, the n upper-half representatives are
+    clustered into distinct values, and geometric multiplicities are read
+    off the adjoint kernel dimensions (halved for real eigenvalues, whose
+    kernel sees both conjugate blocks); a simple eigenvalue has gm = 1.
+    The largest singular value is ||chi||_2 for the rank tests and the split
+    rule.  With `singular_tol`, a member whose adjoint has its smallest
+    singular value within singular_tol * max(1, ||chi||_2) of zero is
+    Singular.
     """
+    if not isinstance(A, QMatrix):
+        chi = np.asarray(A, dtype=complex)
+        if chi.ndim != 3 or chi.shape[1] != chi.shape[2] or chi.shape[1] % 2:
+            raise NonSquare("eigenvalues need a (B, 2n, 2n) stack of adjoints")
+        return _standard_spectra(chi, singular_tol)
     if not A.is_square():
         raise NonSquare("eigenvalues of a non-square matrix")
-    n = A.rows
-    chi = adjoint(A)
-    eigs, vecs = np.linalg.eig(chi)
-    tau_pair = 1e-7 * max(1.0, A.sum_norm())
-    reps = _pair_adjoint_eigenvalues([complex(w) for w in eigs], tau_pair)
+    (spectrum,) = _standard_spectra(adjoint(A)[None], singular_tol)
+    if isinstance(spectrum, Exception):
+        raise spectrum
+    return spectrum
+
+
+def _standard_spectra(chi, singular_tol):
+    """`standard_eigenvalues` of a (B, 2n, 2n) stack.  LAPACK rejects a
+    non-finite matrix, so such a member is left out of the stacked calls and
+    fails alone with the LinAlgError that its own call would raise."""
+    finite = np.isfinite(chi).all(axis=(-2, -1))
+    outcomes = [np.linalg.LinAlgError("Array must not contain infs or NaNs")
+                for _ in chi]
+    members = np.flatnonzero(finite)
+    svals = np.linalg.svd(chi[members], compute_uv=False)
+    eigs, vecs = np.linalg.eig(chi[members])
+    scales = sum_norms(chi[members]).tolist()
+    for m, member in enumerate(members):
+        try:
+            outcomes[member] = _member_spectrum(
+                chi[member], svals[m], eigs[m], vecs[m], scales[m],
+                singular_tol)
+        except (PairingFailure, Singular) as exc:
+            outcomes[member] = exc
+    return outcomes
+
+
+def _member_spectrum(chi, svals, eigs, vecs, scale, singular_tol):
+    """StandardSpectrum of one adjoint from its singular values, its
+    eigendecomposition and the sum norm of its quaternion matrix."""
+    n = chi.shape[-1] // 2
+    chi_norm = svals[0]
+    if singular_tol is not None \
+            and svals[-1] <= singular_tol * max(1.0, chi_norm):
+        raise Singular(f"adjoint condition {chi_norm:.3e}/{svals[-1]:.3e} "
+                       "treats the matrix as singular")
+    tau_pair = 1e-7 * max(1.0, scale)
+    reps = _pair_adjoint_eigenvalues(eigs.tolist(), tau_pair)
     if len(reps) != n:
         raise PairingFailure(f"paired down to {len(reps)} values, expected {n}")
 
-    chi_norm = np.linalg.norm(chi, 2)
     split = _unresolved_split(reps, eigs, vecs, chi_norm)
     if split is not None:
         spread = max(abs(a - b) for a in split for b in split)
@@ -562,16 +624,15 @@ def standard_eigenvalues(A):
     for group in _cluster(reps, EIG_CLUSTER_TOL):
         value = sum(group) / len(group)
         am = len(group)
-        if abs(value.imag) <= tau_pair:
-            value = complex(value.real, 0.0)
-            kernel = _nullity(chi - value.real * np.eye(2 * n), rank_tol)
-            gm = int(round(kernel / 2))
-        else:
-            value = complex(value.real, abs(value.imag))
-            gm = _nullity(chi - value * np.eye(2 * n), rank_tol)
-        gm = min(max(gm, 1), am)
+        real = abs(value.imag) <= tau_pair
+        value = complex(value.real, 0.0 if real else abs(value.imag))
+        gm = 1
+        if am > 1:
+            shift = value.real if real else value
+            kernel = _nullity(chi - shift * np.eye(2 * n), rank_tol)
+            gm = min(max(round(kernel / 2) if real else kernel, 1), am)
         entries.append(SpectrumEntry(value, am, gm))
-    return StandardSpectrum(entries)
+    return StandardSpectrum(entries, svals)
 
 
 def _kernel_vectors(chi, value, rank_tol):
@@ -649,22 +710,13 @@ def _independent_columns(candidates, count):
     for eta in candidates:
         trial = chosen + [eta]
         arr = np.concatenate([c.data for c in trial], axis=1)
-        chi = _rect_adjoint(QMatrix(arr))
+        chi = adjoints(arr)
         svals = np.linalg.svd(chi, compute_uv=False)
         if svals[-1] > 1e-8 * max(1.0, svals[0]):
             chosen.append(eta)
         if len(chosen) == count:
             return chosen
     return None
-
-
-def _rect_adjoint(A):
-    """Adjoint layout for rectangular matrices (used for rank checks only)."""
-    a1 = A.data[..., 0] + 1j * A.data[..., 1]
-    a2 = A.data[..., 2] + 1j * A.data[..., 3]
-    top = np.hstack([a1, a2])
-    bottom = np.hstack([-a2.conj(), a1.conj()])
-    return np.vstack([top, bottom])
 
 
 # -- matrix exponential and logarithm ----------------------------------------
@@ -1139,28 +1191,32 @@ def _log_triangular(T, diag_values):
     return QMatrix(L)
 
 
-def logm(C):
+def logm(C, spectrum=None):
     """A quaternion logarithm: returns B with expm(B) = C.
 
     The principal adjoint logarithm is used when the spectrum avoids the
     closed negative real axis.  Otherwise quaternion-aware fallbacks run:
     diagonalization through right eigenvectors, then a Schur triangularization
     with per-class branch handling for repeated negative-real eigenvalues.
+    `spectrum`, when given, is C's StandardSpectrum from
+    `standard_eigenvalues`; its singular values and eigenvalues are then not
+    computed again.
     """
     if not C.is_square():
         raise NonSquare("logm requires a square matrix")
     n = C.rows
-    chi = adjoint(C)
-    svals = np.linalg.svd(chi, compute_uv=False)
-    if svals[-1] <= 1e-12 * max(1.0, svals[0]):
+    svals = (np.linalg.svd(adjoint(C), compute_uv=False) if spectrum is None
+             else spectrum.singular_values)
+    if svals[-1] <= SINGULAR_TOL * max(1.0, svals[0]):
         raise Singular(
             f"qdet {qdet(C):.3e}: adjoint condition {svals[0]:.3e}/{svals[-1]:.3e} "
             "treats the matrix as singular")
 
-    try:
-        spectrum = standard_eigenvalues(C)
-    except PairingFailure as exc:
-        raise LogFailure(f"standard spectrum unavailable: {exc}") from exc
+    if spectrum is None:
+        try:
+            spectrum = standard_eigenvalues(C)
+        except PairingFailure as exc:
+            raise LogFailure(f"standard spectrum unavailable: {exc}") from exc
     near_negative_axis = any(_is_negative_real(e.value) for e in spectrum)
 
     if not near_negative_axis:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -25,6 +26,28 @@ def test_constant_zero_system(capsys):
     out = capsys.readouterr().out
     assert "stable" in out
     assert "0 (am=1, gm=1)" in out
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("entry, finite, last",
+                         [("100", 2, 2), ("1000", 1, 0)])
+def test_constant_overflow_is_strict_json_with_nulls(capsys, entry, finite,
+                                                     last):
+    # e^{tA} overflows for t past `last`; a numpy warning becomes an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["constant", "--entry", entry, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    results = json.loads(out, parse_constant=_reject_constant)["results"]
+    samples = results["norm_samples"]
+    assert all(math.isfinite(v) for v in samples[:finite])
+    assert samples[finite:] == [None] * (6 - finite)
+    assert results["norm_summary"] == f"||M(t)|| overflows after t = {last}"
+    assert results["verdict"]["kind"] == "unstable"
 
 
 def test_periodic_growing_json(tmp_path):
@@ -153,6 +176,22 @@ def test_sweep_rows_match_analyze(capsys):
                     "abs_rho1": moduli[-1], "abs_rho2": moduli[0],
                     "verdict_multipliers": report.verdict_multipliers.kind.value}
         assert cli._numeric_match(expected, {k: row[k] for k in expected})
+
+
+def test_hill_and_sweep_give_the_same_row(capsys):
+    # one report implementation: `hill` at a = 0.5 + ... is the sweep row at
+    # p = 0.5, bit for bit
+    rows = sweep_rows(capsys, "0.5")
+    assert run_cli(["hill", "--period", "pi", "--a", "0.5 + j*cos(2*t)",
+                    "--format", "json"]) == 0
+    hill = json.loads(capsys.readouterr().out)["results"]
+    assert rows[0] == {
+        "p": 0.5, "re_trace": hill["re_trace"], "frob_sq": hill["frob_sq"],
+        "abs_rho1": hill["multiplier_moduli"][-1],
+        "abs_rho2": hill["multiplier_moduli"][0],
+        **{key: hill[key]["kind"] for key in (
+            "verdict_trace", "verdict_frobenius", "verdict_multipliers")},
+        "error": ""}
 
 
 SCIPY_FREE_RUNS = (

@@ -250,6 +250,42 @@ def test_product_formula_growing(fd_growing, periodic_growing_spec):
     assert exponent_sum_residual(fd_growing, periodic_growing_spec) <= 1e-8
 
 
+def test_normal_form_solves_each_spectrum_once(monkeypatch,
+                                               periodic_growing_spec):
+    # M(T)'s spectrum goes to logm, and the trace integral rides on fd
+    from qfloquet import floquet, qmatrix
+    calls = {"eig": 0, "trace": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (floquet, qmatrix):
+        monkeypatch.setattr(module, "standard_eigenvalues",
+                            counted("eig", qmatrix.standard_eigenvalues))
+    monkeypatch.setattr(floquet, "trace_integral",
+                        counted("trace", floquet.trace_integral))
+    fd = normal_form(periodic_growing_spec)
+    assert calls == {"eig": 1, "trace": 1}
+    multiplier_product_check(fd, periodic_growing_spec)
+    exponent_sum_residual(fd, periodic_growing_spec)
+    assert calls == {"eig": 1, "trace": 1}
+    assert fd.trace_integral == pytest.approx(math.pi, rel=1e-12)
+
+
+def test_logm_with_its_spectrum_equals_logm_alone(fd_growing, fd_defective,
+                                                  fd_marginal, fd_decaying):
+    from qfloquet.qmatrix import logm
+    for fd in (fd_growing, fd_defective, fd_marginal, fd_decaying):
+        C = fd.monodromy
+        alone = logm(C).data
+        assert logm(C, standard_eigenvalues(C)).data.tobytes() == \
+            alone.tobytes()
+        assert fd.B.data.tobytes() == (alone * (1.0 / fd.period)).tobytes()
+
+
 def random_diagonal_spec(rng, n=2, period=math.pi):
     """Diagonal system a_m(t) = q_m (c_m + cos 2t): commuting in time, so the
     monodromy is exp(q_m c_m T) entrywise in closed form."""

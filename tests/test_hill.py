@@ -261,9 +261,16 @@ def batch_sources(draw):
 
 
 def _outcome_key(outcome):
+    """Every field of a HillReport, bit for bit, or the failure's repr."""
     if isinstance(outcome, Exception):
         return repr(outcome)
-    return outcome.M_T.data.tobytes()
+    verdicts = (outcome.verdict_trace, outcome.verdict_frobenius,
+                outcome.verdict_multipliers)
+    return (outcome.M_T.data.tobytes(), outcome.re_trace, outcome.frob_sq,
+            [(e.value, e.algebraic_multiplicity, e.geometric_multiplicity)
+             for e in outcome.multipliers],
+            outcome.multipliers.singular_values.tobytes(), outcome.K_eigs,
+            [(v.kind, v.evidence) for v in verdicts])
 
 
 @settings(max_examples=15, deadline=None)
@@ -284,6 +291,12 @@ def test_batch_rows_equal_one_member_batches(source, grid, cuts):
     keys = [_outcome_key(outcome) for outcome in alone]
     assert [_outcome_key(outcome) for outcome in whole] == keys
     assert [_outcome_key(outcome) for outcome in chunked] == keys
+    # `analyze` reports a batch of one, integrated on its own
+    for problem, key in zip(problems, keys):
+        try:
+            assert _outcome_key(analyze(problem)) == key
+        except (ArithmeticError, ValueError) as exc:
+            assert repr(exc) == key
 
 
 def test_batch_requires_a_shared_coefficient():

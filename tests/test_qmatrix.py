@@ -459,6 +459,77 @@ def test_short_chain_beside_a_close_simple_eigenvalue_is_resolved():
         assert multiplicities(spectrum) == [(1, 1), (2, 1)]
 
 
+def spectrum_key(outcome):
+    """Every bit of a spectrum, or the type and message of its failure."""
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__, str(outcome)
+    return ([(e.value.real, e.value.imag, e.algebraic_multiplicity,
+              e.geometric_multiplicity) for e in outcome],
+            outcome.singular_values.tobytes())
+
+
+def single_key(A, singular_tol=None):
+    try:
+        return spectrum_key(standard_eigenvalues(A, singular_tol))
+    except ArithmeticError as exc:
+        return spectrum_key(exc)
+
+
+def stack_members(rng):
+    """3x3 cases for the stacked spectra: complex pairs, real pairs, +-I, a
+    Jordan block, a split length-3 chain (PairingFailure), and a singular
+    matrix, in a seeded order."""
+    rot = Quaternion(0, math.pi, 0, 0)
+    S = random_similarity(rng, 3)
+    members = [
+        random_qmatrix(rng, 3),
+        S @ QMatrix.diag([Quaternion(2.0), Quaternion(-0.5),
+                          Quaternion(float(rng.uniform(0.1, 1.0)))]) @ inv(S),
+        QMatrix.identity(3),
+        -QMatrix.identity(3),
+        S @ jordan_block_matrix([Quaternion(2.0), Quaternion(2.0),
+                                 Quaternion(0, 0, 1, 0)], ones={0}) @ inv(S),
+        expm(S @ jordan_block_matrix([rot, rot, rot], ones={0, 1}) @ inv(S)),
+        QMatrix.diag([Quaternion(1.0), Quaternion(0.0), I]),
+    ]
+    return [members[k] for k in rng.permutation(len(members))]
+
+
+def test_stack_member_spectrum_equals_its_single_call():
+    from qfloquet.qmatrix import PairingFailure
+    for seed in range(6):
+        members = stack_members(np.random.default_rng([31, seed]))
+        stack = np.stack([adjoint(A) for A in members])
+        for tol in (None, 1e-12):
+            stacked = standard_eigenvalues(stack, tol)
+            assert [spectrum_key(s) for s in stacked] == \
+                [single_key(A, tol) for A in members]
+            kinds = [type(s) for s in stacked]
+            assert kinds.count(PairingFailure) == 1
+            assert kinds.count(Singular) == (1 if tol else 0)
+
+
+def test_stack_member_alone_is_a_stack_of_one():
+    members = stack_members(np.random.default_rng(32))
+    stack = np.stack([adjoint(A) for A in members])
+    whole = [spectrum_key(s) for s in standard_eigenvalues(stack)]
+    for m in range(len(members)):
+        (alone,) = standard_eigenvalues(stack[m:m + 1])
+        assert spectrum_key(alone) == whole[m]
+    assert standard_eigenvalues(stack[:0]) == []
+
+
+def test_non_finite_stack_member_fails_alone():
+    rng = np.random.default_rng(33)
+    members = [random_qmatrix(rng, 2) for _ in range(3)]
+    stack = np.stack([adjoint(A) for A in members])
+    stack[1, 0, 0] = np.nan
+    first, middle, last = standard_eigenvalues(stack)
+    assert isinstance(middle, np.linalg.LinAlgError)
+    assert spectrum_key(first) == single_key(members[0])
+    assert spectrum_key(last) == single_key(members[2])
+
+
 # C = expm(A) for a benchmark input (constant_algebra, seed 11, pair:2416):
 # its diagonalization candidate for log C has an exponential that leaves
 # the quaternion block set
