@@ -19,9 +19,10 @@ import numpy as np
 
 from .expressions import (ExprSyntaxError, MatrixSpec, UnknownIdentifier,
                           evaluate, parse)
-from .floquet import (NotPeriodic, PeriodicityViolation, classify_constant,
-                      classify_periodic, exponent_sum_residual,
-                      multiplier_product_check, normal_form)
+from .floquet import (P_SAMPLE_COUNT, NotPeriodic, PeriodicityViolation,
+                      classify_constant, classify_periodic,
+                      exponent_sum_residual, multiplier_product_check,
+                      normal_form)
 from .hill import HillProblem, NotRealCoefficient, analyze, analyze_batch
 from .integrate import (IntegratorConfig, NonFiniteState, QuadratureFailure,
                         StepBudgetExceeded, StepUnderflow)
@@ -236,13 +237,15 @@ def run_periodic(config):
     fd = normal_form(spec, cfg)
     b_spectrum = standard_eigenvalues(fd.B)
     verdict = classify_periodic(fd)
-    norms = sum_norms(fd.trajectory.adjoints_at(
-        [0.0, 0.5 * fd.period, fd.period, 1.5 * fd.period,
-         2.0 * fd.period])).tolist()
-    sample_grid = [t for t, _ in fd.P_samples]
+    # ||M(t)|| at 0, T/2, T, 3T/2 and 2T, which are among the M_samples
+    # times: the (odd) grid's first, middle and last point, then its middle
+    # and last point plus T
+    middle = P_SAMPLE_COUNT // 2
+    norms = sum_norms(fd.M_samples[[0, middle, P_SAMPLE_COUNT - 1,
+                                    P_SAMPLE_COUNT + middle, -1]]).tolist()
     # t, then the components of M(t), entry by entry in row-major order
-    trajectory = [[t] + state.ravel().tolist() for t, state in zip(
-        sample_grid, quaternion_data(fd.trajectory.adjoints_at(sample_grid)))]
+    trajectory = [[t] + state.ravel().tolist() for (t, _), state in zip(
+        fd.P_samples, quaternion_data(fd.M_samples[:P_SAMPLE_COUNT]))]
     return {
         "period": fd.period,
         "monodromy": _matrix_json(fd.monodromy),
@@ -552,7 +555,7 @@ def main(argv=None):
                 sys.stderr.write("replay mismatch: results differ beyond 1e-12\n")
                 return 3
             report = {"mode": config["mode"], "config": config, "results": results}
-            _emit(json.dumps(report, indent=2), args.out)
+            _emit(json.dumps(report), args.out)
             return 0
         config = _config_from_args(args)
         results = run_mode(config)
@@ -568,7 +571,7 @@ def main(argv=None):
     mode = config["mode"]
     if fmt == "json":
         report = {"mode": mode, "config": config, "results": results}
-        _emit(json.dumps(report, indent=2), path)
+        _emit(json.dumps(report), path)
     elif fmt == "csv":
         _emit(_render_csv(mode, results), path)
     else:

@@ -89,6 +89,8 @@ class FloquetData:
     multipliers: StandardSpectrum
     exponents: list
     P_samples: list
+    M_samples: np.ndarray   # adjoints of M(t) at the P_samples times t,
+                            # then at t + T
     periodicity_residual: float
     trajectory: object   # the [0, 2T] integration behind the samples
     trace_integral: float   # integral of Re tr A over [0, T]
@@ -227,11 +229,11 @@ def normal_form(spec, cfg=None, params=None):
     B = logm(mono, multipliers) * (1.0 / T)
     exponents = characteristic_exponents(multipliers, T)
 
-    # P(t) = M(t) e^{-tB} and P(t + T) for t on the grid, as stacks of
-    # adjoints, with e^{-(t+T)B} = e^{-tB} e^{-TB}
+    # M(t) and P(t) = M(t) e^{-tB} at t and t + T for t on the grid, as
+    # stacks of adjoints, with e^{-(t+T)B} = e^{-tB} e^{-TB}
     decay = expm_adjoint(-np.array(grid)[:, None, None] * adjoint(B))
-    P = traj.adjoints_at(grid + [t + T for t in grid]) @ np.concatenate(
-        [decay, decay @ decay[-1]])
+    states = traj.adjoints_at(grid + [t + T for t in grid])
+    P = states @ np.concatenate([decay, decay @ decay[-1]])
     max_p = float(sum_norms(P).max())
     residual = float(sum_norms(P[:len(grid)] - P[len(grid):]).max())
     if residual > P_PERIODICITY_TOL * max_p:
@@ -240,7 +242,7 @@ def normal_form(spec, cfg=None, params=None):
             f"{P_PERIODICITY_TOL:.1e} * {max_p:.3e}")
     samples = [(t, QMatrix(data))
                for t, data in zip(grid, quaternion_data(P[:len(grid)]))]
-    return FloquetData(T, mono, B, multipliers, exponents, samples,
+    return FloquetData(T, mono, B, multipliers, exponents, samples, states,
                        residual, traj, trace_integral(spec, 0.0, T, params))
 
 

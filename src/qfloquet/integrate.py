@@ -23,16 +23,18 @@ A member advances in windows of equal steps.  Because the system is
 linear, a step's stages are propagators that do not depend on the state,
 so one array call evaluates A at every stage time of the window and the
 stages of all its steps are built together; only the product of each
-step's propagator with the state is sequential.  The longest prefix of
-steps within the tolerance is accepted, and the next step comes from the
-first rejected step's error or else from the window's largest.  A
-member's windows have one step until one is accepted, which sizes the
-step from the initial guess, and WINDOW steps from then on; every step of
-a window counts against MAX_STEPS, accepted or not.  A window that
-reaches t1 is shortened to equal steps that end exactly there: a
-Trajectory evaluates M(t) at any other time from the continuous extension
-of the accepted step around it, whose 3 extra stages `integrate_batch`
-never computes.
+step's propagator with the state is sequential.  Each weighted sum of
+stages is built in place over the row's nonzero weights, so a stage costs
+the same memory however long the window.  The longest prefix of steps
+within the tolerance is accepted, and the next step comes from the first
+rejected step's error or else from the window's largest.  A member's
+windows have one step until one is accepted, which sizes the step from
+the initial guess, and up to WINDOW steps from then on, which usually
+reach t1; every step of a window counts against MAX_STEPS, accepted or
+not.  A window that reaches t1 is shortened to equal steps that end
+exactly there: a Trajectory evaluates M(t) at any other time from the
+continuous extension of the accepted step around it, whose 3 extra stages
+and the product with K_0 `integrate_batch` never computes.
 
 The integral of Re tr A behind Liouville's identity is a scalar quadrature:
 adaptive Gauss-Legendre on the compiled diagonal entries of the
@@ -60,14 +62,22 @@ TRACE_QUAD_LEVELS = 20
 TRACE_QUAD_POINTS = 10
 # relative rounding floor of a Gauss-Legendre sum
 _ROUNDING = 64 * np.finfo(float).eps
-# trial steps (accepted and rejected) one integration may take: over 50x the
-# most any test, demo or benchmark input needs (570, for 40 periods of a
-# paper system at rel_tol 1e-8; benchmark inputs need at most 81, demos 63)
+# trial steps (accepted and rejected) one integration may take: over 40x the
+# most any test, demo or benchmark input needs (711, for a tight reference
+# integration across a sharp bump at rel_tol 1e-13, whose rejected steps
+# waste the rest of their windows; 593 for 40 periods of a paper system at
+# rel_tol 1e-8; benchmark inputs need at most 155 in their first 150 units
+# on seeds 11 and 4817, demos 65)
 MAX_STEPS = 30_000
-# the most steps in one window (see above).  On the benchmark inputs, 12
-# integrated periodic systems about 20% faster than 8 and Hill charts as
-# fast; 16 made Hill charts slower and their arrays larger
-WINDOW = 12
+# the most steps in one window (see above).  A sweep over 12, 24, 32, 48,
+# 64 and 96 on benchmark inputs (seed 11: 60 periodic systems, 12 Hill
+# charts, best of 5 rounds on a 2-core host) cut a periodic system's
+# evaluations of A from 7.4 to 5.1, 4.5, 4.0, 3.4 and 3.4 and its report
+# from 8.2 ms to 7.1-7.3, 7.0-7.4, 6.9-8.2, 6.8-7.0 and 6.6-6.8 ms; a Hill
+# chart took 7.9 ms at 12 and 7.5-9.1 ms at the others.  96 differs from 64 only on the few
+# systems that need more than 64 steps, by less than the noise between
+# rounds, and 64 keeps the longest window's arrays smaller
+WINDOW = 64
 
 
 class StepUnderflow(ArithmeticError):
@@ -156,8 +166,8 @@ class Trajectory:
 
 class _Method(NamedTuple):
     """An explicit Runge-Kutta method; the stage after the step's own is
-    f(t + h, y_new).  Weights are arrays shaped (stages, 1, 1, 1, 1), to
-    scale a stack of stage propagators."""
+    f(t + h, y_new).  Each row of weights holds its nonzero weights alone,
+    as (stage, weight) pairs in stage order (see `_stage_sum`)."""
     c: np.ndarray      # step fraction of each stage, shaped (stages, 1, 1)
     last: int          # the stage f(t + h, y_new); the stages after it
                        # are the continuous extension's
@@ -172,14 +182,27 @@ def _method(c, a, b, err5=None, bhh=None, extra_c=(), extra_a=(), dense=()):
     3rd-order error weights are b - bhh; the extension's extra stages come
     at the fractions extra_c, after f(t + h, y_new)."""
     return _Method(np.array(c + (1.0,) + extra_c)[:, None, None], len(b),
-                   tuple(_weights(*a, b, *extra_a)),
-                   tuple(_weights(err5, np.subtract(b, bhh))) if err5 else (),
-                   tuple(_weights(*dense)))
+                   _weights(*a, b, *extra_a),
+                   _weights(err5, np.subtract(b, bhh)) if err5 else (),
+                   _weights(*dense))
 
 
 def _weights(*rows):
-    return [np.array(row, dtype=float)[:, None, None, None, None]
-            for row in rows]
+    return tuple(tuple((stage, float(weight))
+                       for stage, weight in enumerate(row) if weight)
+                 for row in rows)
+
+
+def _stage_sum(row, K, out, scratch):
+    """sum_j w_j K[j] over the row's (j, w_j) pairs, added in stage order
+    into `out`, with `scratch` (both shaped like K[0]) for each term; so a
+    stage sum of any length allocates nothing.  Returns out."""
+    (first, weight), *rest = row
+    np.multiply(K[first], weight, out=out)
+    for stage, weight in rest:
+        np.multiply(K[stage], weight, out=scratch)
+        out += scratch
+    return out
 
 
 # Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -340,35 +363,40 @@ def _window(method, coefficients, cfg, dense, t1, members, t, h, n, y):
     K = coefficients(members, np.minimum(t + (w + fractions) * h, t1))
     K *= h[:, None, None]
     eye = np.eye(y.shape[-1])
-    for s in range(1, len(K)):
-        argument = eye + np.add.reduce(method.a[s - 1] * K[:s])
-        K[s] = K[s] @ argument
-        if s == last:
-            R = argument
+    # the last stage's I + sum_j b_j K_j is the step's propagator R, which
+    # the states need after the loop, so it keeps its own buffer
+    argument, scratch, R = (np.empty_like(K[0]) for _ in range(3))
+    for s, row in enumerate(method.a[:len(K) - 1], 1):
+        total = _stage_sum(row, K, R if s == last else argument, scratch)
+        total += eye
+        np.matmul(K[s], total, out=K[s])
     ys = np.empty((width + 1,) + y.shape, dtype=complex)
     ys[0] = y
     for step in range(width):
-        ys[step + 1] = R[step] @ ys[step]
+        np.matmul(R[step], ys[step], out=ys[step + 1])
     sizes = sum_norms(ys)
-    # K_0, K_last (h M' at the step's end), the error and extension weights,
-    # each applied to its step's start state
-    weights = method.err + (method.dense if dense else ())
-    products = np.stack([K[0], K[last]] + [
-        np.add.reduce(row * K[:len(row)]) for row in weights]) @ ys[:-1]
+    # h M' at each step's end, and the error and extension weights, each
+    # applied to its step's start state
+    hf = K[last] @ ys[:-1]
+    rows = method.err + (method.dense if dense else ())
+    weighted = np.empty((len(rows),) + K.shape[1:], dtype=complex)
+    for row, out in zip(rows, weighted):
+        _stage_sum(row, K, out, scratch)
+    products = weighted @ ys[:-1]
     err = extension = None
     if method.err:
-        e5, e3 = sum_norms(products[2:4]) / (
+        e5, e3 = sum_norms(products[:2]) / (
             cfg.abs_tol + cfg.rel_tol * np.maximum(sizes[:-1], sizes[1:]))
         # Hairer's combination of the two estimates; 0 when both vanish
         denominator = np.sqrt(e5 * e5 + 0.01 * e3 * e3)
         err = np.where(denominator == 0.0, 0.0, e5 * e5 / denominator)
     if dense:
-        k0, k_last = products[:2]
+        k0 = K[0] @ ys[:-1]
         delta = ys[1:] - ys[:-1]
         extension = np.concatenate((
-            [ys[:-1], delta, k0 - delta, 2.0 * delta - k0 - k_last],
-            products[2 + len(method.err):]))
-    return ys, sizes, err, products[1], extension
+            [ys[:-1], delta, k0 - delta, 2.0 * delta - k0 - hf],
+            products[len(method.err):]))
+    return ys, sizes, err, hf, extension
 
 
 def _isolated(attempt, members, *rows):

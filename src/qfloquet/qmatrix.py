@@ -475,7 +475,7 @@ def _pair_adjoint_eigenvalues(eigs, tau):
         if abs(neg[best] - target) > tau:
             raise PairingFailure(
                 f"no conjugate partner for {w:.6g} within {tau:.3e}")
-        reps.append(0.5 * (w + neg.pop(best).conjugate()))
+        reps.append(0.5 * w + 0.5 * neg.pop(best).conjugate())
     if len(reals) % 2:
         raise PairingFailure("odd number of real adjoint eigenvalues")
     reals.sort(key=lambda w: w.real)
@@ -484,7 +484,7 @@ def _pair_adjoint_eigenvalues(eigs, tau):
         if abs(a.real - b.real) > tau:
             raise PairingFailure(
                 f"unpaired real eigenvalues {a.real:.6g}, {b.real:.6g}")
-        reps.append(complex(0.5 * (a.real + b.real), 0.0))
+        reps.append(complex(0.5 * a.real + 0.5 * b.real, 0.0))
     return reps
 
 

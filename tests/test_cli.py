@@ -12,6 +12,7 @@ from qfloquet import cli
 from qfloquet.cli import main
 from qfloquet.expressions import parse
 from qfloquet.hill import HillProblem, analyze
+from qfloquet.qmatrix import quaternion_data, sum_norms
 
 GROWING_ENTRIES = ["1", "1", ";", "0", "i + 2*exp(2*i*t)*j"]
 HILL_COEFF = "2 + j*cos(2*t)^2 + k*sin(2*t)"
@@ -33,10 +34,12 @@ def _reject_constant(name):
 
 
 @pytest.mark.parametrize("entry, finite, last",
-                         [("100", 2, 2), ("1000", 1, 0)])
+                         [("100", 2, 2), ("1000", 1, 0), ("1e308", 1, 0)])
 def test_constant_overflow_is_strict_json_with_nulls(capsys, entry, finite,
                                                      last):
-    # e^{tA} overflows for t past `last`; a numpy warning becomes an error here
+    # e^{tA} overflows for t past `last`; a numpy warning becomes an error
+    # here.  At 1e308 the eigenvalue itself is near the largest float, so
+    # averaging its adjoint pair must not overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run_cli(["constant", "--entry", entry, "--format", "json"])
@@ -63,6 +66,21 @@ def test_periodic_growing_json(tmp_path):
     assert abs(mults[1] - math.exp(math.pi)) < 1e-4
     assert report["results"]["verdict"]["kind"] == "unstable"
     assert report["results"]["product_residual"] < 1e-7
+
+
+def test_periodic_samples_are_those_of_the_trajectory(capsys, fd_growing):
+    # norm_samples at 0, T/2, T, 3T/2, 2T and trajectory_samples on the
+    # P(t) grid, exactly as the [0, 2T] integration's extension gives them
+    assert run_cli(["periodic", "--period", "pi", "--entry", *GROWING_ENTRIES,
+                    "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    traj, T = fd_growing.trajectory, fd_growing.period
+    assert results["norm_samples"] == sum_norms(traj.adjoints_at(
+        [0.0, 0.5 * T, T, 1.5 * T, 2.0 * T])).tolist()
+    grid = [t for t, _ in fd_growing.P_samples]
+    assert results["trajectory_samples"] == [
+        [t] + state.ravel().tolist()
+        for t, state in zip(grid, quaternion_data(traj.adjoints_at(grid)))]
 
 
 def test_periodic_text_and_json_agree(capsys, tmp_path):

@@ -103,6 +103,14 @@ def test_liouville_on_normal_form_trajectories(name, request):
     assert liouville_residual(traj, spec) <= 1e-7 * max(1.0, largest)
 
 
+def _full_row(row, length):
+    """A row of (stage, weight) pairs as `length` weights, zeros included."""
+    weights = [0.0] * length
+    for stage, weight in row:
+        weights[stage] = weight
+    return weights
+
+
 def test_dop853_tableau_matches_scipy():
     # transcribed from Hairer's code; SciPy's copy is only read here
     reference = pytest.importorskip(
@@ -111,16 +119,47 @@ def test_dop853_tableau_matches_scipy():
     # stages: the step's 12, f(t + h, y_new), then the extension's 3
     c = method.c.ravel().tolist()
     assert c == reference.C.tolist()
+    rows = method.a + method.err + method.dense
+    # each row keeps its nonzero weights alone, in stage order
+    for row in rows:
+        stages = [stage for stage, _ in row]
+        assert stages == sorted(set(stages))
+        assert all(weight != 0.0 for _, weight in row)
     for s, row in enumerate(method.a, 1):
-        assert row.ravel().tolist() == reference.A[s, :s].tolist()
+        assert _full_row(row, s) == reference.A[s, :s].tolist()
         # c_i is the sum of row i
-        assert abs(sum(row.ravel()) - c[s]) <= 1e-14
-    assert method.a[method.last - 1].ravel().tolist() == reference.B.tolist()
-    err5, err3 = (w.ravel().tolist() for w in method.err)
-    assert err5 + [0.0] == reference.E5.tolist()
-    assert err3 + [0.0] == reference.E3.tolist()
-    assert [w.ravel().tolist() for w in method.dense] == \
+        assert abs(sum(weight for _, weight in row) - c[s]) <= 1e-14
+    assert _full_row(method.a[method.last - 1], method.last) == \
+        reference.B.tolist()
+    err5, err3 = (_full_row(row, method.last + 1) for row in method.err)
+    assert err5 == reference.E5.tolist()
+    assert err3 == reference.E3.tolist()
+    assert [_full_row(row, len(c)) for row in method.dense] == \
         reference.D.tolist()
+
+
+@pytest.mark.parametrize("members", [1, 16])
+def test_stage_sum_matches_a_reduction(members):
+    # the in-place sum over a row's nonzero weights against the reduction
+    # over all of them: the DOP853 rows, whose zeros sit between nonzero
+    # weights, and seeded random rows with zeros first, last and inside
+    rng = np.random.default_rng(71)
+    shape = (16, 5, members, 4, 4)
+    K = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    method = integrate_module._DOP853
+    random_rows = [rng.normal(size=length) * (rng.random(length) < 0.6)
+                   for length in (1, 3, 8, 16) for _ in range(4)]
+    random_rows += [[0.0, 0.0, 2.5], [1.5, 0.0, 0.0], [0.0, -0.75]]
+    rows = [_full_row(row, row[-1][0] + 1)
+            for row in method.a + method.err + method.dense]
+    out, scratch = np.empty_like(K[0]), np.empty_like(K[0])
+    for weights in rows + [row for row in random_rows if np.any(row)]:
+        (row,) = integrate_module._weights(weights)
+        expected = np.add.reduce(
+            np.asarray(weights)[:, None, None, None, None] * K[:len(weights)])
+        result = integrate_module._stage_sum(row, K, out, scratch)
+        assert result is out
+        np.testing.assert_array_equal(result, expected)
 
 
 def test_rk4_order_convergence():
@@ -180,7 +219,7 @@ def test_normal_form_takes_few_steps(fd_growing):
 
 def test_normal_form_evaluates_a_once_per_window(fd_growing):
     # A(t) is evaluated at t0 and then once per window of steps: the
-    # growing fixture's [0, 2T] integration takes 47 steps in 6 calls
+    # growing fixture's [0, 2T] integration takes 53 steps in 3 calls
     counts = fd_growing.trajectory.counts
     assert counts.accepted == len(fd_growing.trajectory.times) - 1
     assert counts.trials >= counts.accepted
@@ -288,6 +327,27 @@ def test_non_finite_state_fails_loudly():
         integrate(MatrixSpec.from_strings([["1000"]]), 0.0, 100.0,
                   QMatrix.identity(1), IntegratorConfig(method="rk4",
                                                         rk4_step=0.5))
+
+
+def test_overflow_mid_window_ends_its_member():
+    # M(t) = e^{pt} overflows at t = 709.78 / p.  For p = 1000 the step
+    # that overflows comes after 62 accepted steps of its window and is
+    # within the tolerance, with a state and stages that are not finite:
+    # that member ends as NonFiniteState, the others integrate as if alone
+    spec = MatrixSpec.from_strings([["p"]], variables=("t", "p"))
+    grid = [1.0, 1000.0, 3.0]
+    outcomes = integrate_batch(spec, 0.0, 1.0, QMatrix.identity(1),
+                               {"p": grid})
+    assert isinstance(outcomes[1], NonFiniteState)
+    assert 0.7097 < float(str(outcomes[1]).rsplit("t=")[1]) < 0.711
+    for index in (0, 2):
+        (alone,) = integrate_batch(spec, 0.0, 1.0, QMatrix.identity(1),
+                                   {"p": [grid[index]]})
+        assert np.array_equal(outcomes[index].data, alone.data)
+        assert outcomes[index][0, 0].q0 == pytest.approx(
+            math.exp(grid[index]), rel=1e-9)
+    with pytest.raises(NonFiniteState):
+        integrate(spec, 0.0, 1.0, QMatrix.identity(1), params={"p": 1000.0})
 
 
 def test_integrate_and_batch_take_the_same_steps():
