@@ -31,7 +31,7 @@ from .floquet import (Evidence, FloquetData, NotPeriodic, PeriodicWitness,
                       multiplier_product_check, normal_form,
                       periodic_solutions)
 from .hill import (HillProblem, HillReport, NotRealCoefficient, analyze,
-                   analyze_batch, classify_real, companion,
+                   analyze_batch, analyze_chart, classify_real, companion,
                    k_matrix_diagnostics)
 
 __version__ = "0.1.0"

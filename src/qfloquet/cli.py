@@ -23,7 +23,7 @@ from .floquet import (P_SAMPLE_COUNT, NotPeriodic, PeriodicityViolation,
                       classify_constant, classify_periodic,
                       exponent_sum_residual, multiplier_product_check,
                       normal_form)
-from .hill import HillProblem, NotRealCoefficient, analyze, analyze_batch
+from .hill import HillProblem, NotRealCoefficient, analyze, analyze_chart
 from .integrate import (IntegratorConfig, NonFiniteState, QuadratureFailure,
                         StepBudgetExceeded, StepUnderflow)
 from .qmatrix import (LogFailure, NonSquare, OmegaViolation, PairingFailure,
@@ -35,7 +35,7 @@ NUMERICAL_ERRORS = (Singular, StepUnderflow, StepBudgetExceeded,
                     NonFiniteState, QuadratureFailure, PeriodicityViolation,
                     NotPeriodic, LogFailure, OmegaViolation, PairingFailure,
                     RecoveryFailure, NotRealCoefficient, DivisionByZero,
-                    ArithmeticError)
+                    np.linalg.LinAlgError, ArithmeticError)
 CONFIG_ERRORS = (ExprSyntaxError, UnknownIdentifier, NonSquare, ValueError,
                  KeyError, json.JSONDecodeError)
 # largest grid a start/stop/step sweep may ask for
@@ -314,21 +314,15 @@ def _sweep_row(p_value, outcome):
 
 
 def _sweep_rows(config, grid):
-    """Rows of the grid points, integrated as one batch.  Each point's
-    failure, configuration errors included, lands in its own row."""
+    """Rows of the grid points, set up and integrated as one chart.  Each
+    point's failure, configuration errors included, lands in its own row."""
     try:
         node, period = _hill_coefficient(config, ("t", "p"))
         cfg = _integrator_config(config)
     except Exception as exc:  # per-point failures recorded in-row
         return [_sweep_row(p, exc) for p in grid]
-    outcomes, problems = {}, {}
-    for index, p in enumerate(grid):
-        try:
-            problems[index] = HillProblem(node, period, {"p": p})
-        except Exception as exc:  # per-point failures recorded in-row
-            outcomes[index] = exc
-    outcomes.update(zip(problems, analyze_batch(list(problems.values()), cfg)))
-    return [_sweep_row(p, outcomes[index]) for index, p in enumerate(grid)]
+    outcomes = analyze_chart(node, period, {"p": grid}, cfg)
+    return [_sweep_row(p, outcome) for p, outcome in zip(grid, outcomes)]
 
 
 def _sweep_point(config, p_value):

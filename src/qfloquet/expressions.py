@@ -472,12 +472,19 @@ def evaluate(node, t, params=None):
     return Quaternion(*compile_expr(node)(float(t), params))
 
 
-def grid_max(measure, period, points=GRID_POINTS):
+def grid_max(measure, period, points=GRID_POINTS, members=None):
     """Largest value of measure(t) over `points` equally spaced times in
     [0, period), called once on the array of those times; nan when any
-    value is nan."""
-    return float(np.max(measure(np.linspace(0.0, period, points,
-                                            endpoint=False))))
+    value is nan.
+
+    With `members`, measure gets the times as a (points, 1) column and may
+    give one column per member of a batch; the result is then the array of
+    each member's largest value.
+    """
+    t = np.linspace(0.0, period, points, endpoint=False)
+    if members is None:
+        return float(np.max(measure(t)))
+    return np.broadcast_to(measure(t[:, None]), (points, members)).max(axis=0)
 
 
 # -- rendering ----------------------------------------------------------------
@@ -623,13 +630,24 @@ class MatrixSpec:
         return sum(f(t, params) for f in self._diagonal_fns)
 
     def periodicity_residual(self, grid_points=GRID_POINTS, params=None):
-        """max over a grid of ||A(t) - A(t+T)|| in the entrywise sum norm."""
+        """max over a grid of ||A(t) - A(t+T)|| in the entrywise sum norm.
+
+        A parameter may be bound to an array of one value per grid time,
+        or to a (1, members) row, one value per member of a batch.  Then
+        every member is checked in the one call and the result is the array
+        of their maxima, each its own check's float bit for bit, unless a
+        transcendental function of the parameters alone (cos(p)) rounds
+        differently in numpy than in `math`.
+        """
         if self.period is None:
             return 0.0
         period = self.period
+        rows = [np.shape(value) for value in (params or {}).values()
+                if np.ndim(value) == 2]
+        members = np.broadcast_shapes(*rows)[-1] if rows else None
 
         def drift(t):
             return sum(hypot(*map(operator.sub, f(t, params),
                                   f(t + period, params)))
                        for f in self._entry_fns)
-        return grid_max(drift, period, grid_points)
+        return grid_max(drift, period, grid_points, members)

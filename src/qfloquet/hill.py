@@ -7,14 +7,16 @@ around +-2 unless M(T) = +-I), the Frobenius channel (the squared Frobenius
 norm, reported, and an instability certificate from the traces of powers
 of M(T)), and the characteristic multipliers (authoritative).  A
 real-coefficient specialization reproduces the classical trace
-classification.  `analyze_batch` analyzes the points of a parameter grid
-(a stability chart) with one batched integration, and reports them all from
-array operations on the stack of their monodromy adjoints; `analyze` is its
-report for a batch of one.
+classification.  `analyze_chart` analyzes the points of a parameter grid (a
+stability chart) with one set-up: one compiled companion system and one
+periodicity check for every point.  It and `analyze_batch` integrate the
+points as one batch, and report them all from array operations on the stack
+of their monodromy adjoints; `analyze` is the report of a batch of one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -51,15 +53,12 @@ class HillProblem:
     params: dict = field(default=None, hash=False)
 
     def __post_init__(self):
-        if not self.period > 0:
-            raise ValueError("period must be positive")
-        # a(t) is the companion's only varying entry, so this is the largest
-        # |a(t) - a(t+T)| on the grid
-        worst = companion(self).periodicity_residual(params=self.params)
-        if not worst <= COEFF_PERIODICITY_TOL:    # nan fails too
-            raise ValueError(
-                f"a(t) periodicity residual {worst:.3e} exceeds "
-                f"{COEFF_PERIODICITY_TOL:.1e}")
+        # building the companion raises "period must be positive"
+        _check_coefficient(companion(self), self.params)
+
+    @functools.cached_property
+    def _spec(self):
+        return _companion(self.a, self.period)
 
 
 @dataclass(frozen=True)
@@ -75,10 +74,23 @@ class HillReport:
 
 
 def companion(problem):
-    """2x2 first-order system [[0, 1], [-a(t), 0]] equivalent to the equation."""
-    entries = [[Num(0.0), Num(1.0)],
-               [Neg(problem.a), Num(0.0)]]
-    return MatrixSpec(entries, period=problem.period)
+    """2x2 first-order system [[0, 1], [-a(t), 0]] equivalent to the
+    equation, compiled once per problem."""
+    return problem._spec
+
+
+def _companion(a, period):
+    return MatrixSpec([[Num(0.0), Num(1.0)], [Neg(a), Num(0.0)]],
+                      period=period)
+
+
+def _check_coefficient(spec, params):
+    # a(t) is the companion's only varying entry, so this is the largest
+    # |a(t) - a(t+T)| on the grid
+    worst = spec.periodicity_residual(params=params)
+    if not worst <= COEFF_PERIODICITY_TOL:    # nan fails too
+        raise ValueError(f"a(t) periodicity residual {worst:.3e} exceeds "
+                         f"{COEFF_PERIODICITY_TOL:.1e}")
 
 
 def _near_identity_verdict(M_T, sign, re_trace, otherwise):
@@ -209,8 +221,58 @@ def analyze_batch(problems, cfg=None):
                          "parameter names")
     params = {name: [p.params[name] for p in problems]
               for name in first.params or {}}
-    outcomes = integrate_batch(companion(first), 0.0, first.period,
-                               QMatrix.identity(2), params, cfg)
+    return _analyze_members(companion(first), params, cfg)
+
+
+def analyze_chart(a, period, params, cfg=None):
+    """`analyze_batch` for the points of a stability chart, set up once.
+
+    `params` maps each parameter name of a(t) to a sequence holding one
+    value per point.  The companion system is compiled once, and one
+    periodicity check covers every point; a point that fails it, or every
+    point when the batched check raises, is checked again alone.  Returns
+    one entry per point: its HillReport, or the exception that ended it,
+    the one building its HillProblem would raise included.  An entry is the
+    same, bit for bit, in a chart of any size.
+    """
+    params = {name: np.asarray(values, dtype=float)
+              for name, values in params.items()}
+    sizes = {values.shape for values in params.values()}
+    if len(sizes) != 1 or len(next(iter(sizes))) != 1:
+        raise ValueError("a chart binds each parameter to a sequence, all "
+                         "of one length")
+    ((size,),) = sizes
+    try:
+        spec = _companion(a, period)
+    except ValueError as exc:
+        return [exc] * size
+    outcomes = {}
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            worst = spec.periodicity_residual(params={
+                name: values[None] for name, values in params.items()})
+        except Exception:  # each point's own check decides
+            worst = np.full(size, np.nan)
+        suspects = np.flatnonzero(~(worst <= COEFF_PERIODICITY_TOL)).tolist()
+        for k in suspects:
+            try:
+                _check_coefficient(spec, {name: values[k]
+                                          for name, values in params.items()})
+            except Exception as exc:  # the point's set-up failure
+                outcomes[k] = exc
+    passing = [k for k in range(size) if k not in outcomes]
+    if passing:
+        outcomes.update(zip(passing, _analyze_members(
+            spec, {name: values[passing] for name, values in params.items()},
+            cfg)))
+    return [outcomes[k] for k in range(size)]
+
+
+def _analyze_members(spec, params, cfg):
+    """One entry per member of params' sequences: its HillReport, or the
+    exception that ended its integration or its report."""
+    outcomes = integrate_batch(spec, 0.0, spec.period, QMatrix.identity(2),
+                               params, cfg)
     integrated = [k for k, outcome in enumerate(outcomes)
                   if not isinstance(outcome, Exception)]
     for k, report in zip(integrated,

@@ -6,11 +6,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from qfloquet import cli
 from qfloquet.cli import main
-from qfloquet.expressions import parse
+from qfloquet.expressions import MatrixSpec, parse
 from qfloquet.hill import HillProblem, analyze
 from qfloquet.qmatrix import quaternion_data, sum_norms
 
@@ -182,6 +183,63 @@ def test_sweep_failing_point_fails_only_its_row(capsys):
     assert [bool(row["error"]) for row in rows] == [False, True, False]
     assert rows[1]["error"].startswith("ValueError")
     assert [rows[0], rows[2]] == sweep_rows(capsys, "1,2")
+
+
+NAN_RESIDUAL = "ValueError: a(t) periodicity residual nan exceeds 1.0e-08"
+
+
+@pytest.mark.parametrize("period, a, grid, errors", [
+    # p = 1 fails the periodicity check alone: cos(t) has period 2 pi
+    ("pi", "p + j*cos(p*t)", "1,2,nan,1e400",
+     ["ValueError: a(t) periodicity residual 2.000e+00 exceeds 1.0e-08", "",
+      NAN_RESIDUAL, NAN_RESIDUAL]),
+    # the batched check raises; only p = 0 fails, checked alone
+    ("pi", "p + cos(2*t)/p", "0,1",
+     ["DivisionByZero: inverse of zero quaternion", ""]),
+    ("-1", "p + j*cos(2*t)", "0,1", ["ValueError: period must be positive"] * 2),
+])
+def test_sweep_rows_equal_their_one_point_sweeps(capsys, period, a, grid,
+                                                 errors):
+    def rows(points):
+        assert run_cli(["sweep", "--period", period, "--a", a,
+                        f"--p-grid={points}", "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)["results"]["rows"]
+    chart = rows(grid)
+    assert [row["error"] for row in chart] == errors
+    alone = [rows(point)[0] for point in grid.split(",")]
+    assert json.dumps(chart) == json.dumps(alone)
+
+
+def test_sweep_setup_is_silent_on_nonfinite_points(capsys):
+    # any numpy warning becomes an error here, and stderr stays empty
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["sweep", "--period", "pi", "--a", "p + j*cos(p*t)",
+                        "--p-grid=1,2,nan,1e400", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["results"]["rows"]
+    assert [row["error"] for row in rows[2:]] == [NAN_RESIDUAL] * 2
+
+
+def test_sweep_sets_up_once_per_chart(monkeypatch, capsys):
+    # one companion and one periodicity check for a 16-point chart
+    counts = {"specs": 0, "checks": 0}
+    build, check = MatrixSpec.__init__, MatrixSpec.periodicity_residual
+
+    def counted_build(self, *args, **kwargs):
+        counts["specs"] += 1
+        build(self, *args, **kwargs)
+
+    def counted_check(self, *args, **kwargs):
+        counts["checks"] += 1
+        return check(self, *args, **kwargs)
+    monkeypatch.setattr(MatrixSpec, "__init__", counted_build)
+    monkeypatch.setattr(MatrixSpec, "periodicity_residual", counted_check)
+    grid = ",".join(repr(p) for p in np.linspace(-1.0, 3.0, 16).tolist())
+    rows = sweep_rows(capsys, grid)
+    assert len(rows) == 16 and not any(row["error"] for row in rows)
+    assert counts == {"specs": 1, "checks": 1}
 
 
 def test_sweep_rows_match_analyze(capsys):
@@ -424,6 +482,16 @@ def test_numerical_failure_exits_3(capsys):
     code = run_cli(["periodic", "--period", "pi", "--entry", "cos(t)"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_nonfinite_constant_entry_is_a_numerical_failure(capsys):
+    # 1e400 parses to inf; numpy's LinAlgError is a ValueError, yet the
+    # failure is numerical
+    assert run_cli(["constant", "--entry", "1e400", "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "numerical failure: LinAlgError: Array must not contain infs or NaNs"]
 
 
 def test_console_script_entry_point():

@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from qfloquet.expressions import parse
+from qfloquet.expressions import MatrixSpec, parse
 from qfloquet.floquet import Stability
 from qfloquet.hill import (HillProblem, NotRealCoefficient, analyze,
-                           analyze_batch, classify_real, companion,
-                           k_matrix_diagnostics)
+                           analyze_batch, analyze_chart, classify_real,
+                           companion, k_matrix_diagnostics)
 from qfloquet.qmatrix import QMatrix, _complete_unitary, qdet
 from qfloquet.quaternion import J, Quaternion
 
@@ -291,12 +291,60 @@ def test_batch_rows_equal_one_member_batches(source, grid, cuts):
     keys = [_outcome_key(outcome) for outcome in alone]
     assert [_outcome_key(outcome) for outcome in whole] == keys
     assert [_outcome_key(outcome) for outcome in chunked] == keys
+    # a chart sets its points up together and reports them the same
+    chart = analyze_chart(node, math.pi, {"p": grid})
+    assert [_outcome_key(outcome) for outcome in chart] == keys
     # `analyze` reports a batch of one, integrated on its own
     for problem, key in zip(problems, keys):
         try:
             assert _outcome_key(analyze(problem)) == key
         except (ArithmeticError, ValueError) as exc:
             assert repr(exc) == key
+
+
+@seed(11)
+@settings(max_examples=25, deadline=None)
+@given(source=batch_sources(),
+       drift=st.sampled_from(("", " + cos(p*t)", " + j*p*sin(t)",
+                              " + exp(k*p*t)")),
+       grid=st.lists(st.one_of(st.floats(-3.0, 3.0),
+                               st.sampled_from((math.nan, math.inf))),
+                     min_size=1, max_size=6))
+def test_batched_periodicity_check_is_each_members_check(source, drift, grid):
+    # drift adds a term that is not pi-periodic for most p
+    spec = MatrixSpec.from_strings([["0", "1"], [source + drift, "p"]],
+                                   math.pi, ("t", "p"))
+    with np.errstate(all="ignore"):
+        batched = spec.periodicity_residual(params={"p": np.array([grid])})
+        alone = [spec.periodicity_residual(params={"p": p}) for p in grid]
+    # repr is exact for a float, and reads "nan" whatever a nan's sign bit
+    assert list(map(repr, batched.tolist())) == list(map(repr, alone))
+
+
+def test_a_problem_compiles_its_companion_once(monkeypatch):
+    problem = HillProblem(parse("p + j*cos(2*t)", ("t", "p")), math.pi,
+                          {"p": 2.0})
+    assert companion(problem) is companion(problem)
+    built = []
+    monkeypatch.setattr(MatrixSpec, "__init__",
+                        lambda self, *args: built.append(args))
+    analyze(problem)
+    analyze_batch([problem])
+    assert built == []
+
+
+def test_chart_points_fail_alone():
+    node = parse("p + j*cos(p*t)", ("t", "p"))
+    chart = analyze_chart(node, math.pi, {"p": [2.0, 1.0, math.nan]})
+    assert isinstance(chart[0].M_T, QMatrix)
+    assert [str(outcome) for outcome in chart[1:]] == [
+        "a(t) periodicity residual 2.000e+00 exceeds 1.0e-08",
+        "a(t) periodicity residual nan exceeds 1.0e-08"]
+    assert [str(outcome) for outcome in analyze_chart(node, -1.0, {"p": [2.0]})
+            ] == ["period must be positive"]
+    assert analyze_chart(node, math.pi, {"p": []}) == []
+    with pytest.raises(ValueError):
+        analyze_chart(node, math.pi, {"p": [1.0], "q": [1.0, 2.0]})
 
 
 def test_batch_requires_a_shared_coefficient():
