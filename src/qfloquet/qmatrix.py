@@ -12,6 +12,13 @@ scaling and squaring with a scaling power per member of a stack
 (`expm_adjoint`), and inverse scaling and squaring through Denman-Beavers
 square roots and a Gauss-Legendre form of the Pade approximant
 (`_principal_log`).  Nothing here needs SciPy.
+
+Right eigenvectors come from one helper (`_eigenvector`), which lifts an
+adjoint kernel vector and, for a real eigenvalue, fixes its quaternion
+phase.  `logm` has two routes, the principal logarithm and a Schur route
+for eigenvalues on or next to the negative real axis; the phase rule makes
+the direction of log(-1) that the Schur route picks independent of
+rounding.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternion import Quaternion
+from .quaternion import Quaternion, conj
 
 log = logging.getLogger(__name__)
 
@@ -50,9 +57,11 @@ LOG_RESID_TOL = 1e-8
 # when its adjoint's smallest singular value is within this factor of
 # max(1, largest)
 SINGULAR_TOL = 1e-12
-# an eigenvalue this close (relatively) to the negative real axis forces the
-# quaternion-aware logarithm branches
-NEG_AXIS_TOL = 1e-8
+# an eigenvalue this close (relatively) to the negative real axis sends logm
+# down the Schur route first: the principal log's square roots lose accuracy
+# there, and miss the residual contract for about a third of diagonalizable
+# pairs within 1e-4 of the axis
+NEG_AXIS_TOL = 1e-3
 
 # expm: Pade-13 coefficients b_0..b_13 and the largest 1-norm the
 # approximant serves to double precision (Higham 2005, table 2.3)
@@ -87,7 +96,7 @@ class NotAnEigenvalue(ValueError):
 
 
 class RecoveryFailure(ArithmeticError):
-    """No candidate eigenvector embedding met the residual bound."""
+    """The recovered eigenvector did not meet the residual bound."""
 
 
 class OmegaViolation(ArithmeticError):
@@ -268,7 +277,11 @@ class QMatrix:
         return float(self.trace().q0)
 
     def abs_entries(self):
-        return np.sqrt((self.data ** 2).sum(axis=2))
+        """Entry moduli |a1 + a2 j| = hypot(|a1|, |a2|), the formula of
+        `sum_norms`, finite wherever the modulus is."""
+        # (q0, q1, q2, q3) read as the complex pair (a1, a2)
+        pairs = np.abs(np.ascontiguousarray(self.data).view(complex))
+        return np.hypot(pairs[..., 0], pairs[..., 1])
 
     def sum_norm(self):
         """Entrywise sum norm: sum of the moduli of all entries."""
@@ -635,88 +648,57 @@ def _member_spectrum(chi, svals, eigs, vecs, scale, singular_tol):
     return StandardSpectrum(entries, svals)
 
 
-def _kernel_vectors(chi, value, rank_tol):
-    """Right singular vectors of chi - value*I with negligible singular value."""
-    shifted = chi - value * np.eye(chi.shape[0])
-    _, svals, vh = np.linalg.svd(shifted)
-    keep = [m for m in range(len(svals)) if svals[m] <= rank_tol]
-    if not keep:
-        keep = [len(svals) - 1]
-    return [vh[m].conj() for m in keep]
-
-
-_EMBEDDING_FLIPS = (
-    (1.0, -1.0),   # derived convention: eta = u1 - conj(u2) * j
-    (1.0, 1.0),
-    (-1.0, -1.0),
-    (-1.0, 1.0),
-)
-
-
-def _candidate_etas(u):
-    n = u.shape[0] // 2
-    u1, u2 = u[:n], u[n:]
-    for s1, s2 in _EMBEDDING_FLIPS:
-        arr = np.zeros((n, 1, 4))
-        arr[:, 0, 0] = s1 * u1.real
-        arr[:, 0, 1] = s1 * u1.imag
-        arr[:, 0, 2] = s2 * u2.real
-        arr[:, 0, 3] = -s2 * u2.imag
-        yield QMatrix(arr)
-
-
 def _eig_residual(A, eta, value):
     shifted = A @ eta - eta.scale_right(Quaternion.from_complex(value))
     return shifted.sum_norm()
 
 
+def _eigenvector(A, value):
+    """Unit right eigenvector of A for the standard eigenvalue `value`, and
+    its residual ||A eta - eta value||.
+
+    Each kernel vector of the adjoint's shift by `value` (a right singular
+    vector with negligible singular value, or the last one when there is
+    none) is lifted by `lift_vector`; the one with the smallest residual is
+    kept.  For a real value, eta q is an eigenvector too for every unit
+    quaternion q, so q is fixed: the first component whose modulus is at
+    least half the largest becomes real and positive, and rounding in A
+    cannot turn the vector.
+    """
+    chi = adjoint(A)
+    rank_tol = 1e-9 * np.linalg.norm(chi, 2) * chi.shape[0]
+    _, svals, vh = np.linalg.svd(chi - value * np.eye(chi.shape[0]))
+    kernel = np.flatnonzero(svals <= rank_tol).tolist() or [len(svals) - 1]
+    best, best_resid = None, math.inf
+    for m in kernel:
+        eta = lift_vector(vh[m].conj())
+        resid = _eig_residual(A, eta, value)
+        if resid < best_resid:
+            best, best_resid = eta, resid
+    if value.imag == 0.0:
+        moduli = best.abs_entries()[:, 0]
+        first = best[int(np.argmax(moduli >= 0.5 * moduli.max())), 0]
+        best = best.scale_right(conj(first) * (1.0 / abs(first)))
+    return best, best_resid
+
+
 def right_eigenvector(A, value, resid_tol=EIGVEC_RESID_TOL):
     """Right eigenvector for a standard eigenvalue: A @ eta = eta * value.
 
-    The eigenvector is recovered from an adjoint kernel vector; the embedding
-    convention is validated against the residual bound, trying sign flips
-    before giving up.
+    The eigenvector is recovered from an adjoint kernel vector and checked
+    against the residual bound; for a real eigenvalue its quaternion phase
+    is fixed (see `_eigenvector`).
     """
     spectrum = standard_eigenvalues(A)
     entry = spectrum.closest(value)
     if abs(entry.value - value) > EIG_CLUSTER_TOL:
         raise NotAnEigenvalue(f"{value:.6g} is not a standard eigenvalue of A")
-    chi = adjoint(A)
-    n = A.rows
-    chi_norm = np.linalg.norm(chi, 2)
-    rank_tol = max(1e-9 * chi_norm * 2 * n, 1e3 * np.finfo(float).eps * chi_norm)
-    norm_a = A.sum_norm()
-    best = None
-    best_resid = math.inf
-    for u in _kernel_vectors(chi, entry.value, rank_tol):
-        for eta in _candidate_etas(u):
-            scale = math.sqrt(eta.frobenius_sq())
-            if scale < 1e-300:
-                continue
-            eta = eta * (1.0 / scale)
-            resid = _eig_residual(A, eta, entry.value)
-            if resid < best_resid:
-                best, best_resid = eta, resid
-    if best is None or best_resid > resid_tol * max(1.0, norm_a):
+    eta, resid = _eigenvector(A, entry.value)
+    bound = resid_tol * max(1.0, A.sum_norm())
+    if not resid <= bound:
         raise RecoveryFailure(
-            f"eigenvector residual {best_resid:.3e} exceeds "
-            f"{resid_tol * max(1.0, norm_a):.3e}")
-    return best
-
-
-def _independent_columns(candidates, count):
-    """Greedily select `count` right-H-independent columns."""
-    chosen = []
-    for eta in candidates:
-        trial = chosen + [eta]
-        arr = np.concatenate([c.data for c in trial], axis=1)
-        chi = adjoints(arr)
-        svals = np.linalg.svd(chi, compute_uv=False)
-        if svals[-1] > 1e-8 * max(1.0, svals[0]):
-            chosen.append(eta)
-        if len(chosen) == count:
-            return chosen
-    return None
+            f"eigenvector residual {resid:.3e} exceeds {bound:.3e}")
+    return eta
 
 
 # -- matrix exponential and logarithm ----------------------------------------
@@ -847,57 +829,6 @@ def _principal_log(C):
     return from_adjoint(chi_l)
 
 
-def _standard_log(value):
-    # principal complex log of a standard eigenvalue: argument in [0, pi]
-    v = complex(value.real, max(value.imag, 0.0))
-    return cmath.log(v)
-
-
-def _log_by_diagonalization(C, spectrum):
-    """S diag(log lambda) S^-1 for diagonalizable C."""
-    if any(e.geometric_multiplicity < e.algebraic_multiplicity for e in spectrum):
-        return None
-    n = C.rows
-    chi = adjoint(C)
-    chi_norm = np.linalg.norm(chi, 2)
-    rank_tol = max(1e-9 * chi_norm * 2 * n, 1e4 * np.finfo(float).eps * chi_norm)
-    columns = []
-    diag_vals = []
-    for entry in spectrum:
-        candidates = []
-        for u in _kernel_vectors(chi, entry.value, rank_tol):
-            best, best_resid = None, math.inf
-            for eta in _candidate_etas(u):
-                scale = math.sqrt(eta.frobenius_sq())
-                if scale < 1e-300:
-                    continue
-                eta = eta * (1.0 / scale)
-                resid = _eig_residual(C, eta, entry.value)
-                if resid < best_resid:
-                    best, best_resid = eta, resid
-            if best is not None:
-                candidates.append(best)
-                if abs(entry.value.imag) <= 1e-12:
-                    # real class: eta * j is an eigenvector too
-                    candidates.append(best.scale_right(Quaternion(0, 0, 1, 0)))
-        picked = _independent_columns(candidates, entry.algebraic_multiplicity)
-        if picked is None:
-            return None
-        columns.extend(picked)
-        diag_vals.extend([_standard_log(entry.value)] * entry.algebraic_multiplicity)
-    arr = np.concatenate([c.data for c in columns], axis=1)
-    S = QMatrix(arr)
-    chi_s = adjoint(S)
-    svals = np.linalg.svd(chi_s, compute_uv=False)
-    if svals[-1] < 1e-10 * max(1.0, svals[0]):
-        return None
-    try:
-        s_inv = inv(S)
-    except Singular:
-        return None
-    return S @ QMatrix.diag(diag_vals) @ s_inv
-
-
 def _rotation_to_complex(q):
     """Unit quaternion w with conj(w) * q * w complex (Im >= 0)."""
     vec_norm = math.hypot(q.q1, q.q2, q.q3)
@@ -916,36 +847,33 @@ def _rotation_to_complex(q):
     return w * (1.0 / abs(w))
 
 
-def quaternion_schur(A):
+def quaternion_schur(A, spectrum=None):
     """Unitary triangularization A = U T U^dagger with complex diagonal.
 
     T is upper triangular; its diagonal entries are the standard eigenvalues
     (as complex numbers) in ascending (Re, Im) order, which keeps repeated
-    classes adjacent for the block logarithm.
+    classes adjacent for the block logarithm.  A value that the spectrum
+    snapped onto the real axis but A only nearly has (its eigenvector misses
+    EIGVEC_RESID_TOL) is deflated as the adjoint eigenvalue nearest to it,
+    which then stands on the diagonal.  `spectrum`, when given, is A's
+    StandardSpectrum, which the first deflation step then uses.
     """
     n = A.rows
     t = A.data.copy()
     u = QMatrix.identity(n).data.copy()
     for k in range(n - 1):
         sub = QMatrix(t[k:, k:, :].copy())
-        spec = standard_eigenvalues(sub)
+        spec = standard_eigenvalues(sub) if k or spectrum is None else spectrum
         target = min(spec.values(), key=lambda v: (v.real, v.imag))
-        chi = adjoint(sub)
-        m = sub.rows
-        chi_norm = np.linalg.norm(chi, 2)
-        rank_tol = max(1e-9 * chi_norm * 2 * m, 1e4 * np.finfo(float).eps * chi_norm)
-        kernel = _kernel_vectors(chi, target, rank_tol)
-        best, best_resid = None, math.inf
-        for vec in kernel:
-            for eta in _candidate_etas(vec):
-                scale = math.sqrt(eta.frobenius_sq())
-                if scale < 1e-300:
-                    continue
-                eta = eta * (1.0 / scale)
-                resid = _eig_residual(sub, eta, target)
-                if resid < best_resid:
-                    best, best_resid = eta, resid
-        basis = _complete_unitary(best, m)
+        eta, resid = _eigenvector(sub, target)
+        if resid > EIGVEC_RESID_TOL * max(1.0, sub.sum_norm()):
+            # a pair just off the real axis, snapped onto it: deflate with
+            # the eigenvalue it stands for, or the wiped lower triangle
+            # would carry the distance
+            eigs = np.linalg.eigvals(adjoint(sub))
+            nearest = eigs[np.argmin(np.abs(eigs - target))]
+            eta, _ = _eigenvector(sub, complex(nearest.real, abs(nearest.imag)))
+        basis = _complete_unitary(eta, sub.rows)
         v = QMatrix(np.concatenate([b.data for b in basis], axis=1))
         # similarity by diag(I_k, v)
         sub_new = v.dagger() @ sub @ v
@@ -1016,12 +944,13 @@ def _commuting_directions(L1, scale):
 
     Each significant entry x = L1[a, b] imposes u_a x = x u_b, so directions
     propagate along a spanning tree as u_b = w_b^-1 u_root w_b; every extra
-    edge closes a cycle whose word must commute with u_root, pinning the
-    root direction to the cycle word's vector part.
+    edge, and every diagonal entry (a loop, which is not real when its
+    eigenvalue lies off the axis), closes a cycle whose word must commute
+    with u_root, pinning the root direction to the cycle word's vector part.
     """
     m = L1.rows
     one = Quaternion(1.0)
-    edges = [(a, b, L1[a, b]) for a in range(m) for b in range(a + 1, m)
+    edges = [(a, b, L1[a, b]) for a in range(m) for b in range(a, m)
              if abs(L1[a, b]) > 1e-9 * scale]
     words = [None] * m          # u_node = word^-1 u_root word per component
     component = [None] * m
@@ -1074,86 +1003,47 @@ def _commuting_directions(L1, scale):
 
 
 def _log_negative_real_block(T_b, radius):
-    """Quaternion log of a triangular block with uniform eigenvalue -radius.
+    """Quaternion log of a triangular block whose eigenvalues lie at or
+    next to -radius.
 
-    Peels the block as (-radius*I) * U with U unipotent: the log is
-    ln(radius)*I + pi*diag(u_m) + log(U) where the pure-unit directions u_m
-    are chosen so the diagonal rotation commutes with log(U).
+    Peels the block as (-radius*I) * U with U near unipotent: the log is
+    ln(radius)*I + pi*J + log(U) for a rotation J with J^2 = -I that
+    commutes with log(U).  When every diagonal entry lies above the axis
+    (by more than EIGVEC_RESID_TOL, relatively), J = -i sign(-i log(U)) on
+    the adjoint, with sign(X) = (X^2)^(-1/2) X, which puts each eigenvalue's
+    log on its principal branch; otherwise J = diag(u_m) with pure-unit
+    directions from `_commuting_directions`.
     """
     m = T_b.rows
     U_b = T_b * (-1.0 / radius)
     L1 = _principal_log(U_b)
     if L1 is None:
         return None
-    directions = _commuting_directions(L1, max(1.0, L1.max_abs()))
-    if directions is None:
-        return None
-    rotation = QMatrix.diag([d * math.pi for d in directions])
+    if np.diagonal(T_b.data[..., 1]).min() > EIGVEC_RESID_TOL * radius:
+        X = -1j * adjoint(L1)
+        root = _sqrtm(X @ X)
+        if root is None:
+            return None
+        rotation = from_adjoint(-1j * np.linalg.solve(root, X)) * math.pi
+    else:
+        directions = _commuting_directions(L1, max(1.0, L1.max_abs()))
+        if directions is None:
+            return None
+        rotation = QMatrix.diag([d * math.pi for d in directions])
     return QMatrix.diag([math.log(radius)] * m) + rotation + L1
 
 
-def _frechet_action(B, E):
-    """Directional derivative of expm at B along E (block-matrix identity)."""
-    n = B.rows
-    arr = np.zeros((2 * n, 2 * n, 4))
-    arr[:n, :n, :] = B.data
-    arr[n:, n:, :] = B.data
-    arr[:n, n:, :] = E.data
-    return expm(QMatrix(arr)).submatrix(0, n, n, 2 * n)
-
-
-def _newton_polish(B0, C, max_iter=12):
-    """Gauss-Newton correction of an approximate logarithm.
-
-    The derivative of expm is singular where eigenvalues of the candidate
-    differ by 2*pi*i (exactly the interesting negative-real cases), so each
-    step is a least-squares solve; the best iterate is returned.
-    """
-    n = C.rows
-    dim = 4 * n * n
-    basis = []
-    for p in range(n):
-        for q in range(n):
-            for a in range(4):
-                arr = np.zeros((n, n, 4))
-                arr[p, q, a] = 1.0
-                basis.append(QMatrix(arr))
-    best, best_resid = B0, (expm(B0) - C).sum_norm()
-    B = B0
-    for _ in range(max_iter):
-        residual = C - expm(B)
-        resid_norm = residual.sum_norm()
-        if resid_norm < best_resid:
-            best, best_resid = B, resid_norm
-        if resid_norm <= 1e-14 * max(1.0, C.sum_norm()):
-            break
-        jac = np.zeros((dim, dim))
-        for col, E in enumerate(basis):
-            jac[:, col] = _frechet_action(B, E).data.ravel()
-        step, *_ = np.linalg.lstsq(jac, residual.data.ravel(), rcond=None)
-        if not np.all(np.isfinite(step)) or np.abs(step).max() > 1e3:
-            break
-        B = B + QMatrix(step.reshape((n, n, 4)))
-    final = (expm(B) - C).sum_norm()
-    return B if final < best_resid else best
-
-
 def _phi_matrix(L_ii, L_jj):
-    """Real matrix of X -> expm([[L_ii, X], [0, L_jj]]) top-right block."""
+    """Real matrix of X -> expm([[L_ii, X], [0, L_jj]]) top-right block,
+    from one stacked exponential with X running over the real basis."""
     ni, nj = L_ii.rows, L_jj.rows
     dim = 4 * ni * nj
-    phi = np.zeros((dim, dim))
-    for p in range(ni):
-        for q in range(nj):
-            for a in range(4):
-                arr = np.zeros((ni + nj, ni + nj, 4))
-                arr[:ni, :ni, :] = L_ii.data
-                arr[ni:, ni:, :] = L_jj.data
-                arr[p, ni + q, a] = 1.0
-                big = expm(QMatrix(arr))
-                block = big.data[:ni, ni:, :]
-                phi[:, (p * nj + q) * 4 + a] = block.ravel()
-    return phi
+    arr = np.zeros((dim, ni + nj, ni + nj, 4))
+    arr[:, :ni, :ni, :] = L_ii.data
+    arr[:, ni:, ni:, :] = L_jj.data
+    arr[:, :ni, ni:, :] = np.eye(dim).reshape(dim, ni, nj, 4)
+    big = quaternion_data(expm_adjoint(adjoints(arr)))
+    return big[:, :ni, ni:, :].reshape(dim, dim).T
 
 
 def _log_triangular(T, diag_values):
@@ -1191,20 +1081,36 @@ def _log_triangular(T, diag_values):
     return QMatrix(L)
 
 
+def _schur_log(C, spectrum):
+    """U L U^dagger from the Schur form C = U T U^dagger and a block log L
+    of T, or None when a step fails."""
+    try:
+        U, T = quaternion_schur(C, spectrum)
+        diag_values = [complex(T.data[m, m, 0], T.data[m, m, 1])
+                       for m in range(C.rows)]
+        L = _log_triangular(T, diag_values)
+    except (OmegaViolation, PairingFailure):
+        return None
+    return None if L is None else U @ L @ U.dagger()
+
+
 def logm(C, spectrum=None):
     """A quaternion logarithm: returns B with expm(B) = C.
 
-    The principal adjoint logarithm is used when the spectrum avoids the
-    closed negative real axis.  Otherwise quaternion-aware fallbacks run:
-    diagonalization through right eigenvectors, then a Schur triangularization
-    with per-class branch handling for repeated negative-real eigenvalues.
+    Two routes are tried in turn, and the first whose result meets the
+    residual contract (`_log_residual_ok`) is returned.  The principal
+    adjoint logarithm comes first when no eigenvalue is near the negative
+    real axis.  Otherwise the Schur route comes first: a Schur
+    triangularization with per-class branch handling for negative-real
+    eigenvalues, whose log(-1) directions follow from eigenvectors with a
+    fixed phase, so rounding in C cannot turn them.  The principal
+    logarithm then serves an eigenvalue that only lies near the axis.
     `spectrum`, when given, is C's StandardSpectrum from
     `standard_eigenvalues`; its singular values and eigenvalues are then not
     computed again.
     """
     if not C.is_square():
         raise NonSquare("logm requires a square matrix")
-    n = C.rows
     svals = (np.linalg.svd(adjoint(C), compute_uv=False) if spectrum is None
              else spectrum.singular_values)
     if svals[-1] <= SINGULAR_TOL * max(1.0, svals[0]):
@@ -1217,42 +1123,13 @@ def logm(C, spectrum=None):
             spectrum = standard_eigenvalues(C)
         except PairingFailure as exc:
             raise LogFailure(f"standard spectrum unavailable: {exc}") from exc
-    near_negative_axis = any(_is_negative_real(e.value) for e in spectrum)
-
-    if not near_negative_axis:
-        B = _principal_log(C)
+    routes = [lambda: _schur_log(C, spectrum), lambda: _principal_log(C)]
+    if not any(_is_negative_real(e.value) for e in spectrum):
+        routes.reverse()
+    for route in routes:
+        B = route()
         if B is not None and _log_residual_ok(B, C):
             return B
-
-    log.debug("quaternion-aware logarithm branch engaged")
-    B = _log_by_diagonalization(C, spectrum)
-    if B is not None and _log_residual_ok(B, C):
-        return B
-
-    candidates = []
-    try:
-        U, T = quaternion_schur(C)
-        diag_values = [complex(T.data[m, m, 0], T.data[m, m, 1])
-                       for m in range(n)]
-        L = _log_triangular(T, diag_values)
-        if L is not None:
-            candidates.append(U @ L @ U.dagger())
-    except (OmegaViolation, PairingFailure):
-        pass
-    if B is not None:
-        candidates.append(B)
-    for candidate in candidates:
-        if _log_residual_ok(candidate, C):
-            return candidate
-    # last resort: polish the closest candidate through the expm derivative
-    for candidate in candidates:
-        try:
-            polished = _newton_polish(candidate, C)
-        except OmegaViolation:
-            continue
-        if _log_residual_ok(polished, C):
-            log.debug("logarithm accepted after least-squares polishing")
-            return polished
     raise LogFailure("no quaternion logarithm met the residual contract")
 
 

@@ -35,7 +35,7 @@ def _reject_constant(name):
 
 
 @pytest.mark.parametrize("entry, finite, last",
-                         [("100", 2, 2), ("1000", 1, 0), ("1e308", 1, 0)])
+                         [("100", 4, 6), ("1000", 1, 0), ("1e308", 1, 0)])
 def test_constant_overflow_is_strict_json_with_nulls(capsys, entry, finite,
                                                      last):
     # e^{tA} overflows for t past `last`; a numpy warning becomes an error
@@ -52,6 +52,20 @@ def test_constant_overflow_is_strict_json_with_nulls(capsys, entry, finite,
     assert samples[finite:] == [None] * (6 - finite)
     assert results["norm_summary"] == f"||M(t)|| overflows after t = {last}"
     assert results["verdict"]["kind"] == "unstable"
+
+
+def test_constant_norm_of_an_entry_beyond_the_square_root_of_max_float(
+        capsys):
+    # e^{tA} = [[1, 1e300 t], [0, 1]] and its sum norm are finite: the
+    # entry modulus must not square 1e300
+    code = run_cli(["constant", "--entry", "0", "1e300", ";", "0", "0",
+                    "--format", "json"])
+    assert code == 0
+    results = json.loads(capsys.readouterr().out,
+                         parse_constant=_reject_constant)["results"]
+    assert results["norm_samples"] == pytest.approx(
+        [2.0 + 1e300 * t for t in range(0, 11, 2)], rel=1e-15)
+    assert results["norm_summary"] == "||M(t)|| grows (2 -> 1e+301)"
 
 
 def test_periodic_growing_json(tmp_path):

@@ -286,6 +286,23 @@ def test_logm_with_its_spectrum_equals_logm_alone(fd_growing, fd_defective,
         assert fd.B.data.tobytes() == (alone * (1.0 / fd.period)).tobytes()
 
 
+def test_minus_one_branch_does_not_follow_rounding(fd_growing, fd_marginal):
+    # where a multiplier is -1, the direction of log(-1) in B and the
+    # witness eta follow a fixed rule, not the rounding of M(T)
+    import dataclasses
+    from qfloquet.qmatrix import logm
+    rng = np.random.default_rng(41)
+    for fd in (fd_growing, fd_marginal):
+        (witness,) = periodic_solutions(fd)
+        C = fd.monodromy
+        for _ in range(8):
+            C_p = QMatrix(C.data + 1e-14 * rng.uniform(-1, 1, C.data.shape))
+            assert (logm(C_p) * (1.0 / fd.period) - fd.B).max_abs() <= 1e-12
+            (moved,) = periodic_solutions(
+                dataclasses.replace(fd, monodromy=C_p))
+            assert (moved.eta - witness.eta).max_abs() <= 1e-12
+
+
 def random_diagonal_spec(rng, n=2, period=math.pi):
     """Diagonal system a_m(t) = q_m (c_m + cos 2t): commuting in time, so the
     monodromy is exp(q_m c_m T) entrywise in closed form."""

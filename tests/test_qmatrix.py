@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from qfloquet.qmatrix import (NonSquare, NotAnEigenvalue, QMatrix, Singular,
-                              adjoint, allclose, expm, from_adjoint, inv,
-                              logm, omega_residual, qdet, quaternion_schur,
+from qfloquet.qmatrix import (EIGVEC_RESID_TOL, LOG_RESID_TOL, NonSquare,
+                              NotAnEigenvalue, QMatrix, Singular, adjoint,
+                              allclose, expm, from_adjoint, inv, logm,
+                              omega_residual, qdet, quaternion_schur,
                               right_eigenvector, spectral_map_check,
                               standard_eigenvalues, sum_norm)
 from qfloquet.quaternion import I, J, K, Quaternion, inverse
@@ -164,6 +165,18 @@ def test_sum_norm_submultiplicative():
         A = random_qmatrix(rng, n)
         B = random_qmatrix(rng, n)
         assert sum_norm(A @ B) <= sum_norm(A) * sum_norm(B) * (1 + 1e-14)
+
+
+def test_sum_norm_is_the_adjoint_stack_norm():
+    # one modulus formula for a QMatrix and for a stack of adjoints; it stays
+    # finite past the square root of the largest float
+    from qfloquet.qmatrix import sum_norms
+    rng = np.random.default_rng(8)
+    for scale in (1e-200, 1.0, 1e200):
+        for _ in range(50):
+            A = random_qmatrix(rng, int(rng.integers(1, 5))) * scale
+            assert math.isfinite(sum_norm(A))
+            assert sum_norm(A) == float(sum_norms(adjoint(A)))
 
 
 def test_invertibility_matches_adjoint():
@@ -530,9 +543,9 @@ def test_non_finite_stack_member_fails_alone():
     assert spectrum_key(last) == single_key(members[2])
 
 
-# C = expm(A) for a benchmark input (constant_algebra, seed 11, pair:2416):
-# its diagonalization candidate for log C has an exponential that leaves
-# the quaternion block set
+# C = expm(A) for a benchmark input (constant_algebra, seed 11, pair:2416),
+# and a logarithm candidate for it, S diag(log lambda) S^-1 from right
+# eigenvectors S, whose exponential leaves the quaternion block set
 PAIR_2416_C = [
     [[-1.3481594615369201, 0.03667599439808905, 0.11079843880172963, 0.04651172894637498],
      [-0.06279974396409613, -0.0857927444378872, 0.09200625896900488, -0.10430190828660282],
@@ -543,13 +556,22 @@ PAIR_2416_C = [
     [[0.11196516508467494, -0.036099013409408826, -0.28305161857301075, 0.041000584207479054],
      [0.21723619440615782, 0.2895496355125634, 0.04259305144004771, 0.22912977153112318],
      [0.24055292165094141, 0.080826583704433, 0.18771931324383107, 0.13427432886610047]]]
+PAIR_2416_CANDIDATE = [
+    [[76.75754661988351, -44.743816872821576, -23.538271036401802, 37.52624262967574],
+     [-4.6230672633838, -29.514665622043193, -25.494953328640648, 57.76656123114997],
+     [32.27433406161699, 21.52537221246028, -31.70952518383956, 15.042011193860036]],
+    [[-160.39338051525345, -24.24150860166652, -39.94133941725404, 27.15961143475965],
+     [-91.36845148658465, 17.141700429971852, 46.91049716352082, -57.4166407654917],
+     [-48.29836226519178, -27.764705084986947, 40.99090750079539, 56.06847789400374]],
+    [[28.777596613373365, 34.639651721885976, 29.106188931893925, 28.957227515821884],
+     [15.892189651703136, 29.661907455295538, -19.762566322847974, 16.54239619405238],
+     [14.301595355010008, 20.23192886914096, 13.713234819441263, -14.403013929991523]]]
 
 
 def test_logm_rejects_a_candidate_whose_exponential_leaves_the_block_set():
-    from qfloquet.qmatrix import (OmegaViolation, _log_by_diagonalization,
-                                  _log_residual_ok)
+    from qfloquet.qmatrix import OmegaViolation, _log_residual_ok
     C = QMatrix(PAIR_2416_C)
-    candidate = _log_by_diagonalization(C, standard_eigenvalues(C))
+    candidate = QMatrix(PAIR_2416_CANDIDATE)
     with pytest.raises(OmegaViolation):
         expm(candidate)
     assert not _log_residual_ok(candidate, C)
@@ -572,6 +594,92 @@ def rotation_similar(rng, n, angles, radii):
     D = QMatrix.diag([Quaternion(r * math.cos(a), r * math.sin(a), 0, 0)
                       for a, r in zip(angles, radii)])
     return S @ D @ inv(S)
+
+
+def log_residual(B, C):
+    return (expm(B) - C).sum_norm() / max(1.0, C.sum_norm())
+
+
+def unit_direction(rng):
+    v = rng.normal(size=3)
+    return Quaternion(0.0, *(v / np.linalg.norm(v)))
+
+
+def scaled_quaternion(rng, lo, hi):
+    q = Quaternion(*rng.normal(size=4))
+    return q * (float(rng.uniform(lo, hi)) / abs(q))
+
+
+def negative_real_logm_inputs(rng):
+    """C = S J S^-1, or e^(S L S^-1), with eigenvalues on or next to the
+    negative real axis: diagonalizable, a length-2 chain, -r reached from
+    two different log directions, and a pair just off the axis."""
+    r = float(rng.uniform(0.2, 3.0))
+    S = random_similarity(rng, 3)
+    other = -r if rng.random() < 0.5 else -float(rng.uniform(0.2, 3.0))
+    yield S @ QMatrix.diag([-r, other, scaled_quaternion(rng, 0.3, 3.0)]) \
+        @ inv(S)
+    chain = QMatrix.from_entries(
+        [[-r, scaled_quaternion(rng, 0.1, 2.0), 0], [0, -r, 0],
+         [0, 0, scaled_quaternion(rng, 0.3, 3.0)]])
+    yield S @ chain @ inv(S)
+    lr = Quaternion(math.log(r))
+    mixed = QMatrix.from_entries(
+        [[lr + unit_direction(rng) * math.pi, scaled_quaternion(rng, 0.1, 2.0)],
+         [0, lr + unit_direction(rng) * math.pi]])
+    S2 = random_similarity(rng, 2)
+    yield expm(S2 @ mixed @ inv(S2))
+    near = math.pi - 10 ** float(rng.uniform(-10, -3))
+    pair = Quaternion(r * math.cos(near), r * math.sin(near), 0, 0)
+    yield S @ QMatrix.diag([pair, pair, scaled_quaternion(rng, 0.3, 3.0)]) \
+        @ inv(S)
+
+
+def test_logm_stress_on_the_negative_real_axis():
+    rng = np.random.default_rng(28)
+    for _ in range(40):
+        for C in negative_real_logm_inputs(rng):
+            assert log_residual(logm(C), C) <= LOG_RESID_TOL
+
+
+def test_logm_just_off_the_negative_axis():
+    # a pair 1e-6 from the axis next to a spectator, snapped onto it in
+    # most of these draws
+    rng = np.random.default_rng(27)
+    near = math.pi - 1e-6
+    for _ in range(10):
+        C = rotation_similar(rng, 3, [near, near, 0.3], [0.5, 0.5, 1.0])
+        assert log_residual(logm(C), C) <= LOG_RESID_TOL
+
+
+@pytest.mark.parametrize("distance", [3e-8, 1e-7])
+def test_logm_clusters_snapped_onto_the_negative_axis(distance):
+    # lam = r e^(i(pi - distance)) is close enough to the axis for its
+    # standard value to read -r, which C does not have: the Schur route
+    # deflates with the eigenvalue that C has instead wherever the snapped
+    # value's eigenvector misses EIGVEC_RESID_TOL, so its triangular form
+    # keeps C within that tolerance.  A lone pair S diag(lam, lam) S^-1, among
+    # them real 2x2 matrices P R P^-1 with R the rotation by pi - distance
+    # (the M(T) of a Hill equation just inside a band edge), a triple, and
+    # a chain S [[lam, z], [0, lam]] S^-1 with complex z
+    rng = np.random.default_rng(29)
+    angle = math.pi - distance
+    inputs = [rotation_similar(rng, 2, [angle] * 2, [1.0] * 2)
+              for _ in range(10)]
+    for _ in range(4):
+        r = float(rng.uniform(0.2, 3.0))
+        inputs.append(rotation_similar(rng, 3, [angle] * 3, [r] * 3))
+        lam = Quaternion(r * math.cos(angle), r * math.sin(angle), 0, 0)
+        z = Quaternion(*rng.normal(size=2), 0, 0)
+        S = random_similarity(rng, 2)
+        inputs.append(S @ QMatrix.from_entries([[lam, z], [0, lam]]) @ inv(S))
+        P = rng.normal(size=(2, 2))
+        R = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+        inputs.append(QMatrix.from_complex(P @ np.array(R) @ np.linalg.inv(P)))
+    for C in inputs:
+        U, T = quaternion_schur(C)
+        assert allclose(U @ T @ U.dagger(), C, EIGVEC_RESID_TOL * sum_norm(C))
+        assert log_residual(logm(C), C) <= LOG_RESID_TOL
 
 
 def test_expm_and_logm_agree_with_scipy():
