@@ -325,11 +325,6 @@ def _sweep_rows(config, grid):
     return [_sweep_row(p, outcome) for p, outcome in zip(grid, outcomes)]
 
 
-def _sweep_point(config, p_value):
-    """The row of one grid point: a batch of one."""
-    return _sweep_rows(config, [p_value])[0]
-
-
 def _sweep_range(start, stop, step):
     """start + index * step for every index that stays within stop."""
     start, stop, step = float(start), float(stop), float(step)

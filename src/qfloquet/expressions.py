@@ -24,11 +24,12 @@ kept as plain reals.  `MatrixSpec` compiles its entries when it is built;
 `evaluate` compiles and calls in one step.
 
 A compiled closure takes a float time and float parameters, or numpy arrays
-of times and parameter values, one element per member of a batch; its leaf
-functions (cos, sin, exp, inverses, the real-argument check) use `math` on
-floats and numpy on arrays, so an array element gets the same value in any
-batch.  `MatrixSpec.adjoint` evaluates a specification straight into the
-complex adjoint form the integrator steps, for one time or a batch.
+of times and parameter values, one element per member of a batch.  Its leaf
+functions (exp, cos, sin, hypot) are numpy's on both, and folding runs them
+too, so an element gets the same value alone or in any batch, and an
+overflow gives inf, never an exception.  `MatrixSpec.adjoint` evaluates a
+specification straight into the complex adjoint form the integrator steps,
+for one time or a batch.
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .qmatrix import QMatrix, adjoint
-from .quaternion import (DivisionByZero, Quaternion, any_zero,
-                         exp_components, hypot, inverse_components, product,
-                         real_cos, real_exp, real_sin)
+from .quaternion import (DivisionByZero, Quaternion, exp_components, hypot,
+                         inverse_components, product)
 
 UNIT_NAMES = {"i": Quaternion(0, 1, 0, 0),
               "j": Quaternion(0, 0, 1, 0),
@@ -265,9 +265,10 @@ def parse(src, variables=("t",)):
 # A compiled subtree is a function of (t, params).  Subtrees that are real by
 # construction (numbers, variables, cos/sin, and + - * / ^ of real operands)
 # return reals (floats, or arrays of them for array arguments); every other
-# subtree returns a (q0, q1, q2, q3) tuple of reals.  A
-# subtree without a variable is folded to its value once; when folding raises
-# (1/0, cos(i)), the subtree stays unfolded so the error surfaces at evaluation.
+# subtree returns a (q0, q1, q2, q3) tuple of reals.  A subtree without a
+# variable is folded to its value once, with numpy's warnings off: an overflow
+# folds to inf, as it evaluates on arrays.  When folding raises (1/0, cos(i)),
+# the subtree stays unfolded so the error surfaces at evaluation.
 
 
 class _Code(NamedTuple):
@@ -288,7 +289,7 @@ def _scale_right(a, r):
 def _real_inverse(y):
     # the real case of inverse_components, with the same rounding
     n2 = y * y
-    if any_zero(n2):
+    if np.any(n2 == 0.0):
         raise DivisionByZero("inverse of zero quaternion")
     return y / n2
 
@@ -353,7 +354,7 @@ def _real_argument(fn, trig):
     return checked
 
 
-_TRIG = {"cos": real_cos, "sin": real_sin}
+_TRIG = {"cos": np.cos, "sin": np.sin}
 
 
 def _variable(name):
@@ -395,7 +396,7 @@ def _apply(op, real, *args):
         return _Code(fn, real, None)
     try:
         return _constant(fn(0.0, None))
-    except (ArithmeticError, ValueError):
+    except ArithmeticError:
         return _Code(fn, real, None)
 
 
@@ -425,7 +426,7 @@ def _compile(node):
     if isinstance(node, Call):
         arg = _compile(node.arg)
         if node.fn == "exp":
-            return _apply(real_exp if arg.real else exp_components, arg.real,
+            return _apply(np.exp if arg.real else exp_components, arg.real,
                           arg)
         trig = _TRIG[node.fn]
         return _apply(trig if arg.real else _real_argument(node.fn, trig),
@@ -461,15 +462,18 @@ def compile_expr(node):
     an array of times, and parameter values as arrays of the same shape, it
     returns arrays: one element per time.
     """
-    return _quaternion_fn(_compile(node))
+    with np.errstate(all="ignore"):     # folds: see the comment above _Code
+        return _quaternion_fn(_compile(node))
 
 
 def evaluate(node, t, params=None):
     """Evaluate an AST at time t; `params` maps extra variable names to reals.
 
     Compiles the AST on every call; see compile_expr for repeated evaluation.
+    An overflow gives inf, without a numpy warning.
     """
-    return Quaternion(*compile_expr(node)(float(t), params))
+    with np.errstate(all="ignore"):
+        return Quaternion(*map(float, compile_expr(node)(t, params)))
 
 
 def grid_max(measure, period, points=GRID_POINTS, members=None):
@@ -547,8 +551,9 @@ class MatrixSpec:
     """Square grid of TimeExpr entries defining A(t), optionally periodic.
 
     The entries are compiled once, when the specification is built.
-    `evaluate` gives A(t) as a QMatrix; `adjoint` gives its complex adjoint,
-    for one time or for a batch.
+    `evaluate` gives A(t) at one time as a QMatrix; `adjoint` gives its
+    complex adjoint and `re_trace` the real part of its trace, each for one
+    time or for a batch.  All three run the same numpy leaves.
     """
 
     def __init__(self, entries, period=None):
@@ -560,8 +565,9 @@ class MatrixSpec:
         if period is not None and not period > 0:
             raise ValueError("period must be positive")
         self.period = period
-        self._codes = [_compile(entry) for row in self.entries
-                       for entry in row]
+        with np.errstate(all="ignore"):     # folds: see the comment above _Code
+            self._codes = [_compile(entry) for row in self.entries
+                           for entry in row]
         self._entry_fns = [_quaternion_fn(code) for code in self._codes]
         self._diagonal_fns = [_scalar_part_fn(self._codes[m * (self.n + 1)])
                               for m in range(self.n)]
@@ -579,7 +585,6 @@ class MatrixSpec:
         return MatrixSpec(entries, period)
 
     def evaluate(self, t, params=None):
-        t = float(t)
         values = [f(t, params) for f in self._entry_fns]
         return QMatrix(np.array(values).reshape(self.n, self.n, 4))
 
@@ -625,9 +630,10 @@ class MatrixSpec:
         return flat.view(complex).reshape(shape + (2 * self.n, 2 * self.n))
 
     def re_trace(self, t, params=None):
-        """Re tr A(t), from the diagonal entries alone."""
-        t = float(t)
-        return sum(f(t, params) for f in self._diagonal_fns)
+        """Re tr A(t), from the diagonal entries alone, as an array of t's
+        shape."""
+        return sum((f(t, params) for f in self._diagonal_fns),
+                   np.zeros(np.shape(t)))
 
     def periodicity_residual(self, grid_points=GRID_POINTS, params=None):
         """max over a grid of ||A(t) - A(t+T)|| in the entrywise sum norm.
@@ -635,9 +641,7 @@ class MatrixSpec:
         A parameter may be bound to an array of one value per grid time,
         or to a (1, members) row, one value per member of a batch.  Then
         every member is checked in the one call and the result is the array
-        of their maxima, each its own check's float bit for bit, unless a
-        transcendental function of the parameters alone (cos(p)) rounds
-        differently in numpy than in `math`.
+        of their maxima, each its own check's float bit for bit.
         """
         if self.period is None:
             return 0.0

@@ -40,7 +40,8 @@ The integral of Re tr A behind Liouville's identity is a scalar quadrature:
 adaptive Gauss-Legendre on the compiled diagonal entries of the
 specification (`MatrixSpec.re_trace`), bisecting until the two halves agree
 with the whole to the accuracy target, and raising QuadratureFailure when
-that takes more than TRACE_QUAD_LEVELS bisections.
+that takes more than TRACE_QUAD_LEVELS bisections.  Each rule, or each pair
+of halves, is one array call of the integrand.
 """
 
 from __future__ import annotations
@@ -538,24 +539,26 @@ def _run(coefficients, t0, t1, y0, cfg, steps=None):
 def _gauss_legendre_rule():
     # built on first use: leggauss calls LAPACK, whose start-up would
     # otherwise add about 1 MB to every process that imports this module
-    return tuple(x.tolist()
-                 for x in np.polynomial.legendre.leggauss(TRACE_QUAD_POINTS))
+    return np.polynomial.legendre.leggauss(TRACE_QUAD_POINTS)
 
 
-def _gauss(f, a, b):
-    """Gauss-Legendre estimates of the integrals of f and of |f| over [a, b]."""
+def _gauss(f, *edges):
+    """Gauss-Legendre estimates of the integrals of f and of |f| over each
+    piece between consecutive edges, from one call of f on all their nodes."""
     nodes, weights = _gauss_legendre_rule()
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    values = [f(mid + half * x) for x in nodes]
-    return (half * sum(w * v for w, v in zip(weights, values)),
-            abs(half) * sum(w * abs(v) for w, v in zip(weights, values)))
+    edges = np.array(edges)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    values = f(mid[:, None] + half[:, None] * nodes)
+    return ((half * (values @ weights)).tolist(),
+            (abs(half) * (abs(values) @ weights)).tolist())
 
 
 def _refine(f, a, b, whole, tol, level):
     """Bisect [a, b] until the halves agree with `whole` within `tol`, which
     each bisection splits evenly between the two halves."""
     mid = 0.5 * (a + b)
-    (left, left_abs), (right, right_abs) = _gauss(f, a, mid), _gauss(f, mid, b)
+    (left, right), (left_abs, right_abs) = _gauss(f, a, mid, b)
     # never demand more than the rounding floor of the sum itself
     if abs(left + right - whole) <= max(tol, _ROUNDING * (left_abs + right_abs)):
         return left + right
@@ -577,11 +580,14 @@ def trace_integral(spec, t0, t1, params=None):
     def f(t):
         return spec.re_trace(t, params)
 
-    whole, whole_abs = _gauss(f, t0, t1)
-    if not math.isfinite(whole_abs):
-        raise QuadratureFailure(
-            f"Re tr A is not finite on [{t0:.6g}, {t1:.6g}]")
-    return _refine(f, t0, t1, whole, TRACE_QUAD_TOL * max(1.0, whole_abs), 0)
+    # a non-finite integrand is a QuadratureFailure, not a numpy warning
+    with np.errstate(all="ignore"):
+        (whole,), (whole_abs,) = _gauss(f, t0, t1)
+        if not math.isfinite(whole_abs):
+            raise QuadratureFailure(
+                f"Re tr A is not finite on [{t0:.6g}, {t1:.6g}]")
+        return _refine(f, t0, t1, whole,
+                       TRACE_QUAD_TOL * max(1.0, whole_abs), 0)
 
 
 def liouville_residual(traj, spec, params=None):

@@ -5,10 +5,11 @@ Hamilton's product rules (ij = -ji = k and cyclic).  Values are immutable;
 every operation returns a fresh quaternion.
 
 The same operations exist on (q0, q1, q2, q3) tuples, whose components are
-floats or numpy arrays of floats: compiled expressions evaluate one time on
-floats and a batch of times and parameters on arrays.  The leaf functions
-below pick `math` for floats, which is fastest on scalars, and numpy for
-arrays.
+floats or numpy arrays of floats, one element per time and parameter value
+of a batch.  Their leaf functions (exp, cos, sin, hypot) are numpy's on
+both, so a value is the same alone or in a batch, and an overflow gives inf
+rather than an exception.  `Quaternion` keeps Python floats: `qexp` converts
+the leaves' numpy scalars back.
 """
 
 from __future__ import annotations
@@ -162,42 +163,21 @@ def inverse(q):
 
 
 def qexp(q):
-    """Quaternion exponential; see exp_components."""
-    return Quaternion(*exp_components(_coerce(q).components()))
+    """Quaternion exponential; see exp_components.  Overflow gives inf."""
+    with np.errstate(all="ignore"):
+        return Quaternion(*map(float, exp_components(_coerce(q).components())))
 
 
 # -- leaves on floats or numpy arrays ------------------------------------------
 
 
-def _elementwise(scalar, array):
-    """A leaf function: `scalar` (from math) on a float, `array` (from numpy)
-    on an array of floats."""
-    def leaf(x):
-        return scalar(x) if isinstance(x, float) else array(x)
-    return leaf
-
-
-real_exp = _elementwise(math.exp, np.exp)
-real_cos = _elementwise(math.cos, np.cos)
-real_sin = _elementwise(math.sin, np.sin)
-
-
 def hypot(*xs):
     """Euclidean norm of the arguments, elementwise on arrays."""
-    if all(isinstance(x, float) for x in xs):
-        return math.hypot(*xs)
     return functools.reduce(np.hypot, xs)
-
-
-def any_zero(x):
-    """True when x, or any element of the array x, is 0."""
-    return x == 0.0 if isinstance(x, float) else bool(np.any(x == 0.0))
 
 
 def _sinc(r):
     # sin(r)/r, switching to its series below SINC_EPS
-    if isinstance(r, float):
-        return 1.0 - r * r / 6.0 if r < SINC_EPS else math.sin(r) / r
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(r < SINC_EPS, 1.0 - r * r / 6.0, np.sin(r) / r)
 
@@ -222,7 +202,7 @@ def inverse_components(a):
     anywhere)."""
     a0, a1, a2, a3 = a
     n2 = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
-    if any_zero(n2):
+    if np.any(n2 == 0.0):
         raise DivisionByZero("inverse of zero quaternion")
     return (a0 / n2, -a1 / n2, -a2 / n2, -a3 / n2)
 
@@ -236,8 +216,8 @@ def exp_components(a):
     a0, a1, a2, a3 = a
     r = hypot(a1, a2, a3)
     s = _sinc(r)
-    ea = real_exp(a0)
-    return (ea * real_cos(r), ea * s * a1, ea * s * a2, ea * s * a3)
+    ea = np.exp(a0)
+    return (ea * np.cos(r), ea * s * a1, ea * s * a2, ea * s * a3)
 
 
 def similar(p, q, tol=SIMILAR_TOL):

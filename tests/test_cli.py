@@ -177,8 +177,7 @@ def test_sweep_empty_grid_emits_header_only(capsys):
     assert len(lines) == 1
 
 
-def test_sweep_range_is_indexed(monkeypatch):
-    monkeypatch.setattr(cli, "_sweep_point", lambda config, p: {"p": p})
+def test_sweep_range_is_indexed():
     config = {"mode": "sweep", "sweep": {"start": -1, "stop": 3, "step": 4 / 15}}
     grid = cli.run_sweep(config)["grid"]
     assert grid == [-1 + index * (4 / 15) for index in range(16)]
@@ -268,20 +267,32 @@ def test_sweep_rows_match_analyze(capsys):
         assert cli._numeric_match(expected, {k: row[k] for k in expected})
 
 
-def test_hill_and_sweep_give_the_same_row(capsys):
-    # one report implementation: `hill` at a = 0.5 + ... is the sweep row at
-    # p = 0.5, bit for bit
-    rows = sweep_rows(capsys, "0.5")
-    assert run_cli(["hill", "--period", "pi", "--a", "0.5 + j*cos(2*t)",
-                    "--format", "json"]) == 0
-    hill = json.loads(capsys.readouterr().out)["results"]
-    assert rows[0] == {
-        "p": 0.5, "re_trace": hill["re_trace"], "frob_sq": hill["frob_sq"],
+@pytest.mark.parametrize("hill_a, sweep_a, p", [
+    ("0.5 + j*cos(2*t)", "p + j*cos(2*t)", 0.5),
+    # exp(1000) overflows to inf whether folded or evaluated on an array
+    ("exp(1000)^0 + j*cos(2*t)", "exp(p)^0 + j*cos(2*t)", 1000.0),
+], ids=["0.5", "exp(1000)"])
+def test_hill_and_sweep_give_the_same_row(capsys, hill_a, sweep_a, p):
+    # one report implementation: `hill` at a = hill_a is the sweep row of
+    # sweep_a at p, bit for bit, and neither writes a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["sweep", "--period", "pi", "--a", sweep_a,
+                        f"--p-grid={p!r}", "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        rows = json.loads(out)["results"]["rows"]
+        assert run_cli(["hill", "--period", "pi", "--a", hill_a,
+                        "--format", "json"]) == 0
+    out, hill_err = capsys.readouterr()
+    assert (err, hill_err) == ("", "")
+    hill = json.loads(out)["results"]
+    assert rows == [{
+        "p": p, "re_trace": hill["re_trace"], "frob_sq": hill["frob_sq"],
         "abs_rho1": hill["multiplier_moduli"][-1],
         "abs_rho2": hill["multiplier_moduli"][0],
         **{key: hill[key]["kind"] for key in (
             "verdict_trace", "verdict_frobenius", "verdict_multipliers")},
-        "error": ""}
+        "error": ""}]
 
 
 SCIPY_FREE_RUNS = (
@@ -498,10 +509,15 @@ def test_numerical_failure_exits_3(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_nonfinite_constant_entry_is_a_numerical_failure(capsys):
-    # 1e400 parses to inf; numpy's LinAlgError is a ValueError, yet the
-    # failure is numerical
-    assert run_cli(["constant", "--entry", "1e400", "--format", "json"]) == 3
+@pytest.mark.parametrize("entry", ["1e400", "exp(1000)"])
+def test_nonfinite_constant_entry_is_a_numerical_failure(capsys, entry):
+    # 1e400 parses to inf and exp(1000) folds to it, without a numpy
+    # warning; numpy's LinAlgError is a ValueError, yet the failure is
+    # numerical
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["constant", "--entry", entry, "--format", "json"])
+    assert code == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [

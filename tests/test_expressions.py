@@ -166,6 +166,21 @@ def test_array_evaluation_errors():
         f(np.array([0.0, 1.0, 3.0]), {"p": np.array([5.0, 2.0, 1.0])})
 
 
+def test_quaternion_components_stay_python_floats():
+    # the numpy leaves give numpy scalars (and _sinc a 0-d array); a
+    # Quaternion holds Python floats
+    values = [qexp(Quaternion(0.5, 1.0, -2.0)), qexp(Quaternion(0.5, 1e-12)),
+              qexp(Quaternion(1000.0)),
+              evaluate(parse("exp(i*t) * cos(t) + sin(2)*j"), 0.5),
+              evaluate(parse("exp(1000)"), 0.0),
+              evaluate(parse("exp(j*p*1e-12)", ("t", "p")), 0.0, {"p": 1})]
+    for value in values:
+        assert all(type(c) is float for c in value.components())
+        assert repr(value) == "Quaternion(q0={!r}, q1={!r}, q2={!r}, q3={!r})" \
+            .format(*map(float, value.components()))
+    assert values[2].q0 == values[4].q0 == math.inf
+
+
 def test_parameter_evaluation():
     node = parse("p*t + 1", variables=("t", "p"))
     assert evaluate(node, 2.0, {"p": 3.0}) == q(7)

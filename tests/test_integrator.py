@@ -77,6 +77,20 @@ def test_trace_integral_quadrature():
         pytest.approx(math.pi, abs=1e-12)
 
 
+def test_trace_integral_evaluates_arrays(monkeypatch, periodic_growing_spec):
+    # the whole rule is one call of re_trace and the two halves one more
+    calls = []
+    re_trace = MatrixSpec.re_trace
+
+    def counted(self, t, params=None):
+        calls.append(type(t))
+        return re_trace(self, t, params)
+    monkeypatch.setattr(MatrixSpec, "re_trace", counted)
+    trace_integral(periodic_growing_spec, 0.0, math.pi)
+    assert 1 <= len(calls) <= 2
+    assert set(calls) == {np.ndarray}
+
+
 def test_trace_integral_closed_form_off_period():
     # only the real parts of the diagonal count: Re tr A = cos t + cos 3t + 2t^2
     spec = MatrixSpec.from_strings(
