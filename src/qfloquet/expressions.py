@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmatrix import QMatrix, adjoint
+from .qmatrix import QMatrix, adjoints, top_rows
 from .quaternion import (DivisionByZero, Quaternion, exp_components, hypot,
                          inverse_components, product)
 
@@ -540,13 +540,6 @@ def quaternion_literal(q):
 # -- matrix specifications ----------------------------------------------------
 
 
-def _flat_adjoint(components):
-    """The complex adjoint of a square matrix, given as its n*n*4 quaternion
-    components, seen as a flat float array."""
-    n = math.isqrt(components.size // 4)
-    return adjoint(QMatrix(components.reshape(n, n, 4))).view(float).ravel()
-
-
 class MatrixSpec:
     """Square grid of TimeExpr entries defining A(t), optionally periodic.
 
@@ -607,10 +600,10 @@ class MatrixSpec:
                 units += [4 * index + c for c in range(4)]
             else:
                 constant[index] = fn(0.0, None)
-        base = _flat_adjoint(constant)
-        basis = np.array([_flat_adjoint(unit)
-                          for unit in np.eye(constant.size)[units]])
-        return varying, base, basis.reshape(len(units), base.size)
+        shape = (-1, self.n, self.n, 4)
+        base = adjoints(top_rows(constant.reshape(shape))).view(float).ravel()
+        basis = adjoints(top_rows(np.eye(constant.size)[units].reshape(shape)))
+        return varying, base, basis.view(float).reshape(len(units), base.size)
 
     def adjoint(self, t, params=None):
         """Complex adjoint of A(t) (see `qmatrix.adjoint`), shape (2n, 2n).

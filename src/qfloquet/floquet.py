@@ -20,9 +20,8 @@ import numpy as np
 from .expressions import GRID_POINTS
 from .integrate import integrate, trace_integral
 from .qmatrix import (EIG_CLUSTER_TOL, SINGULAR_TOL, QMatrix,
-                      StandardSpectrum, adjoint, expm_adjoint, logm,
-                      quaternion_data, right_eigenvector, standard_eigenvalues,
-                      sum_norms)
+                      StandardSpectrum, adjoint, expm_adjoint, from_adjoint,
+                      logm, right_eigenvector, standard_eigenvalues, sum_norms)
 from .quaternion import Quaternion
 
 # half-width of the tolerance band around the stability boundary
@@ -240,8 +239,8 @@ def normal_form(spec, cfg=None, params=None):
         raise PeriodicityViolation(
             f"P(t) periodicity residual {residual:.3e} exceeds "
             f"{P_PERIODICITY_TOL:.1e} * {max_p:.3e}")
-    samples = [(t, QMatrix(data))
-               for t, data in zip(grid, quaternion_data(P[:len(grid)]))]
+    samples = [(t, from_adjoint(chi, project=False))
+               for t, chi in zip(grid, P)]
     return FloquetData(T, mono, B, multipliers, exponents, samples, states,
                        residual, traj, trace_integral(spec, 0.0, T, params))
 

@@ -93,31 +93,23 @@ def _check_coefficient(spec, params):
                          f"{COEFF_PERIODICITY_TOL:.1e}")
 
 
-def _near_identity_verdict(M_T, sign, re_trace, otherwise):
-    """STABLE when M(T) = sign * I within IDENTITY_TOL, else `otherwise`."""
-    target = QMatrix.identity(2) * sign
-    distance = (M_T - target).sum_norm()
-    kind = Stability.STABLE if distance <= IDENTITY_TOL else otherwise
-    evidence = (
-        Evidence(complex(re_trace), "Re(tr M(T))", 2.0, abs(re_trace) - 2.0),
-        Evidence(complex(sign), f"||M(T) - {sign:+d}I||", IDENTITY_TOL, distance),
-    )
-    return StabilityVerdict(kind, evidence)
-
-
-def _trace_verdict(re_trace, M_T):
-    # on the band around +-2 with M(T) != +-I, the multipliers of a
-    # quaternion M(T) may still lie on the unit circle (a real M(T) would be
-    # a Jordan block), so the trace alone decides nothing there
-    if abs(re_trace - 2.0) <= TRACE_TOL:
-        return _near_identity_verdict(M_T, +1, re_trace, Stability.UNDETERMINED)
-    if abs(re_trace + 2.0) <= TRACE_TOL:
-        return _near_identity_verdict(M_T, -1, re_trace, Stability.UNDETERMINED)
-    evidence = (Evidence(complex(re_trace), "Re(tr M(T))", 2.0,
-                         abs(re_trace) - 2.0),)
-    if abs(re_trace) > 2.0:
-        return StabilityVerdict(Stability.UNSTABLE, evidence)
-    return StabilityVerdict(Stability.UNDETERMINED, evidence)
+def _trace_band_verdict(re_trace, M_T, on_band, inside, quantity):
+    """The +-2 verdict of a trace test on M(T).  On the band of half-width
+    TRACE_TOL around +-2 it is STABLE when M(T) = +-I within IDENTITY_TOL,
+    else `on_band`; off the band it is UNSTABLE for |tr| > 2 and `inside`
+    within (-2, 2), with the trace's evidence labelled `quantity`."""
+    for sign in (+1, -1):
+        if abs(re_trace - 2.0 * sign) <= TRACE_TOL:
+            distance = (M_T - QMatrix.identity(2) * sign).sum_norm()
+            kind = Stability.STABLE if distance <= IDENTITY_TOL else on_band
+            return StabilityVerdict(kind, (
+                Evidence(complex(re_trace), "Re(tr M(T))", 2.0,
+                         abs(re_trace) - 2.0),
+                Evidence(complex(sign), f"||M(T) - {sign:+d}I||",
+                         IDENTITY_TOL, distance)))
+    kind = Stability.UNSTABLE if abs(re_trace) > 2.0 else inside
+    return StabilityVerdict(kind, (Evidence(complex(re_trace), quantity, 2.0,
+                                            abs(re_trace) - 2.0),))
 
 
 def _frobenius_verdicts(chi):
@@ -288,11 +280,10 @@ def _reports(monodromies):
     the Frobenius channel."""
     if not monodromies:
         return []
-    data = np.stack([M.data for M in monodromies])
-    chi = adjoints(data)
-    diagonal = np.arange(data.shape[1])
-    re_traces = data[:, diagonal, diagonal, 0].sum(axis=-1)
-    frob_sqs = (data ** 2).sum(axis=(1, 2, 3))
+    tops = np.stack([M.top for M in monodromies])
+    chi = adjoints(tops)
+    re_traces = np.trace(tops, axis1=-2, axis2=-1).real
+    frob_sqs = (tops.view(float) ** 2).sum(axis=(1, 2))
     multipliers = characteristic_multipliers(chi)
     k_eigs = _k_eigenvalues(chi)
     frobenius = _frobenius_verdicts(chi)
@@ -309,7 +300,12 @@ def _reports(monodromies):
             frob_sq=frob_sq,
             multipliers=spectrum,
             K_eigs=tuple(kappas),
-            verdict_trace=_trace_verdict(re_trace, M_T),
+            # on the band around +-2 with M(T) != +-I, the multipliers of a
+            # quaternion M(T) may still lie on the unit circle (a real M(T)
+            # would be a Jordan block), so the trace alone decides nothing
+            verdict_trace=_trace_band_verdict(
+                re_trace, M_T, Stability.UNDETERMINED, Stability.UNDETERMINED,
+                "Re(tr M(T))"),
             verdict_frobenius=verdict,
             verdict_multipliers=classify_multipliers(spectrum),
         ))
@@ -329,12 +325,5 @@ def classify_real(problem, cfg=None):
         raise NotRealCoefficient(
             f"coefficient has vector part up to {worst:.3e}")
     M_T = _monodromy(problem, cfg)
-    trace = M_T.re_trace()
-    if abs(trace - 2.0) <= TRACE_TOL:
-        return _near_identity_verdict(M_T, +1, trace, Stability.UNSTABLE)
-    if abs(trace + 2.0) <= TRACE_TOL:
-        return _near_identity_verdict(M_T, -1, trace, Stability.UNSTABLE)
-    evidence = (Evidence(complex(trace), "tr M(T)", 2.0, abs(trace) - 2.0),)
-    if abs(trace) > 2.0:
-        return StabilityVerdict(Stability.UNSTABLE, evidence)
-    return StabilityVerdict(Stability.STABLE, evidence)
+    return _trace_band_verdict(M_T.re_trace(), M_T, Stability.UNSTABLE,
+                               Stability.STABLE, "tr M(T)")

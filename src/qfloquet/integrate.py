@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmatrix import QMatrix, adjoint, qdet, quaternion_data, sum_norms
+from .qmatrix import adjoint, from_adjoint, qdet, sum_norms
 
 
 # trace quadrature: accuracy target relative to max(1, integral of |Re tr A|),
@@ -143,7 +143,7 @@ class Trajectory:
 
     def matrix_at(self, t):
         """M(t) for t in [t_0, t_m], from the continuous extension."""
-        return QMatrix(quaternion_data(self.adjoints_at([t])[0]))
+        return from_adjoint(self.adjoints_at([t])[0], project=False)
 
     def adjoints_at(self, times):
         """The adjoints of M(t) at the given times in [t_0, t_m], stacked."""
@@ -297,7 +297,7 @@ def integrate(spec, t0, t1, M0, cfg=None, params=None):
     if isinstance(outcome, Exception):
         raise outcome
     times, ys, extension = (np.concatenate(part) for part in zip(*steps[0]))
-    states = [QMatrix(data) for data in quaternion_data(ys)]
+    states = [from_adjoint(y, project=False) for y in ys]
     return Trajectory(np.concatenate(([t0], times)), [M0] + states, extension,
                       StepCounts(len(times), int(trials), calls))
 
@@ -327,7 +327,8 @@ def integrate_batch(spec, t0, t1, M0, params, cfg=None):
     y0 = np.broadcast_to(adjoint(M0), (size,) + (2 * spec.n,) * 2)
     outcomes, _ = _run(coefficients, t0, t1, y0, cfg)
     return [outcome if isinstance(outcome, Exception)
-            else QMatrix(quaternion_data(outcome)) for outcome in outcomes]
+            else from_adjoint(outcome, project=False)
+            for outcome in outcomes]
 
 
 def _check_shapes(spec, t0, t1, M0):

@@ -7,6 +7,13 @@ eigenvalues, exponentials and logarithms of quaternion matrices are computed
 on the adjoint and mapped back.  Right eigenvalues are reported through their
 standard (complex, nonnegative imaginary part) representatives.
 
+A QMatrix holds the top block row [A1, A2] alone, as one complex array; the
+rest of the adjoint follows from it (`adjoints`).  A product is that row
+times the other factor's adjoint, and sums, conjugates and norms act on the
+row.  Real (rows, cols, 4) quaternion components are met only at the edges:
+`top_rows` converts them in (the `QMatrix(data)` constructor) and
+`components` converts back (`QMatrix.data`, reports).
+
 The exponential and the principal logarithm are numpy code: Pade-13
 scaling and squaring with a scaling power per member of a stack
 (`expm_adjoint`), and inverse scaling and squaring through Denman-Beavers
@@ -111,18 +118,6 @@ class LogFailure(ArithmeticError):
     """No quaternion logarithm satisfying the residual contract was found."""
 
 
-# structure tensor: UNITS[a] * UNITS[b] = sum_c QMUL[a, b, c] * UNITS[c]
-QMUL = np.zeros((4, 4, 4))
-for _a, _row in enumerate([
-        [(0, 1), (1, 1), (2, 1), (3, 1)],       # 1 * {1,i,j,k}
-        [(1, 1), (0, -1), (3, 1), (2, -1)],     # i * {1,i,j,k}
-        [(2, 1), (3, -1), (0, -1), (1, 1)],     # j * {1,i,j,k}
-        [(3, 1), (2, 1), (1, -1), (0, -1)],     # k * {1,i,j,k}
-]):
-    for _b, (_c, _s) in enumerate(_row):
-        QMUL[_a, _b, _c] = _s
-
-
 def _as_components(value):
     if isinstance(value, Quaternion):
         return value.components()
@@ -133,33 +128,82 @@ def _as_components(value):
     raise TypeError(f"cannot interpret {value!r} as a quaternion entry")
 
 
-class QMatrix:
-    """Dense matrix of quaternions, stored as an (rows, cols, 4) float array.
+def top_rows(data):
+    """(..., r, 2c) top block rows [A1, A2] of the adjoints of the quaternion
+    matrices with (..., r, c, 4) components: the one conversion from
+    components (the inverse of `components`)."""
+    pairs = np.ascontiguousarray(data, dtype=float).view(complex)
+    return np.concatenate([pairs[..., 0], pairs[..., 1]], axis=-1)
 
+
+def components(top):
+    """(..., r, c, 4) quaternion components of (..., r, 2c) top block rows:
+    the one conversion to components."""
+    c = top.shape[-1] // 2
+    return np.stack([top[..., :c], top[..., c:]], axis=-1).view(float)
+
+
+def adjoints(top):
+    """(..., 2r, 2c) complex adjoints [[A1, A2], [-conj(A2), conj(A1)]] of
+    (..., r, 2c) top block rows [A1, A2]."""
+    c = top.shape[-1] // 2
+    bottom = np.concatenate([-top[..., c:].conj(), top[..., :c].conj()],
+                            axis=-1)
+    return np.concatenate([top, bottom], axis=-2)
+
+
+def _block_cols(n, c0, c1):
+    """The columns of an n-column matrix's top block row that hold its
+    columns c0:c1."""
+    return [*range(c0, c1), *range(n + c0, n + c1)]
+
+
+def _moduli(top):
+    # entry moduli |a1 + a2 j| = hypot(|a1|, |a2|), finite wherever the
+    # modulus is
+    c = top.shape[-1] // 2
+    return np.hypot(np.abs(top[..., :c]), np.abs(top[..., c:]))
+
+
+class QMatrix:
+    """Dense matrix of quaternions A = A1 + A2 j, stored as the top block row
+    [A1, A2] of its complex adjoint: an (rows, 2 cols) complex array.
+
+    `QMatrix(data)` builds one from (rows, cols, 4) real components and
+    `QMatrix(top=row)` from a top block row; `.data` derives the components.
     Instances are treated as immutable; arithmetic returns new matrices.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("top",)
 
-    def __init__(self, data):
-        arr = np.asarray(data, dtype=float)
-        if arr.ndim != 3 or arr.shape[2] != 4:
-            raise ValueError("QMatrix data must have shape (rows, cols, 4)")
-        self.data = arr
-        self.data.flags.writeable = False
+    def __init__(self, data=None, *, top=None):
+        if top is None:
+            data = np.asarray(data, dtype=float)
+            if data.ndim != 3 or data.shape[2] != 4:
+                raise ValueError("QMatrix data must have shape (rows, cols, 4)")
+            top = top_rows(data)
+        self.top = np.ascontiguousarray(top, dtype=complex)
+        if self.top.ndim != 2 or self.top.shape[1] % 2:
+            raise ValueError("a top block row has shape (rows, 2 cols)")
+        self.top.flags.writeable = False
+
+    @property
+    def data(self):
+        """The (rows, cols, 4) real quaternion components, read-only."""
+        data = components(self.top)
+        data.flags.writeable = False
+        return data
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def zeros(rows, cols=None):
         cols = rows if cols is None else cols
-        return QMatrix(np.zeros((rows, cols, 4)))
+        return QMatrix(top=np.zeros((rows, 2 * cols), dtype=complex))
 
     @staticmethod
     def identity(n):
-        arr = np.zeros((n, n, 4))
-        arr[np.arange(n), np.arange(n), 0] = 1.0
-        return QMatrix(arr)
+        return QMatrix(top=np.eye(n, 2 * n, dtype=complex))
 
     @staticmethod
     def from_entries(rows):
@@ -177,10 +221,8 @@ class QMatrix:
     @staticmethod
     def diag(values):
         n = len(values)
-        arr = np.zeros((n, n, 4))
-        for m, value in enumerate(values):
-            arr[m, m, :] = _as_components(value)
-        return QMatrix(arr)
+        return QMatrix.from_entries([[v if i == j else 0.0 for j in range(n)]
+                                     for i, v in enumerate(values)])
 
     @staticmethod
     def column(values):
@@ -190,34 +232,32 @@ class QMatrix:
     def from_complex(array):
         """Embed a complex matrix entrywise (q2 = q3 = 0)."""
         array = np.asarray(array, dtype=complex)
-        arr = np.zeros(array.shape + (4,))
-        arr[..., 0] = array.real
-        arr[..., 1] = array.imag
-        return QMatrix(arr)
+        return QMatrix(top=np.concatenate([array, np.zeros_like(array)], axis=1))
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def rows(self):
-        return self.data.shape[0]
+        return self.top.shape[0]
 
     @property
     def cols(self):
-        return self.data.shape[1]
+        return self.top.shape[1] // 2
 
     @property
     def shape(self):
-        return self.data.shape[:2]
+        return (self.rows, self.cols)
 
     def is_square(self):
         return self.rows == self.cols
 
+    def _halves(self):
+        return self.top[:, :self.cols], self.top[:, self.cols:]
+
     def __getitem__(self, index):
         i, j = index
-        return Quaternion(*self.data[i, j])
-
-    def entries(self):
-        return [[self[i, j] for j in range(self.cols)] for i in range(self.rows)]
+        a1, a2 = self.top[i, j], self.top[i, self.cols + j]
+        return Quaternion(a1.real, a1.imag, a2.real, a2.imag)
 
     def __repr__(self):
         body = "; ".join(
@@ -228,50 +268,48 @@ class QMatrix:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        return QMatrix(self.data + other.data)
+        return QMatrix(top=self.top + other.top)
 
     def __sub__(self, other):
-        return QMatrix(self.data - other.data)
+        return QMatrix(top=self.top - other.top)
 
     def __neg__(self):
-        return QMatrix(-self.data)
+        return QMatrix(top=-self.top)
 
     def __mul__(self, scalar):
-        # real scalars commute with every quaternion, so one-sided is enough
+        # real scalars commute with every quaternion, so one-sided is enough;
+        # scaling the real and imaginary parts alone keeps inf * 0 out
         if not isinstance(scalar, (int, float)):
             return NotImplemented
-        return QMatrix(self.data * float(scalar))
+        return QMatrix(top=(self.top.view(float) * float(scalar)).view(complex))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
+        # the top block row of adjoint(A) adjoint(B)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        return QMatrix(np.einsum("ija,jkb,abc->ikc", self.data, other.data, QMUL))
+        return QMatrix(top=self.top @ adjoints(other.top))
 
     def scale_right(self, q):
-        """Right multiplication A * q by a quaternion scalar."""
-        comps = np.asarray(_as_components(q))
-        return QMatrix(np.einsum("ija,b,abc->ijc", self.data, comps, QMUL))
-
-    def conjugate(self):
-        arr = self.data.copy()
-        arr[..., 1:] *= -1.0
-        return QMatrix(arr)
-
-    def transpose(self):
-        return QMatrix(self.data.transpose(1, 0, 2).copy())
+        """Right multiplication A * q by a quaternion scalar q = z1 + z2 j."""
+        q0, q1, q2, q3 = _as_components(q)
+        z1, z2 = complex(q0, q1), complex(q2, q3)
+        a1, a2 = self._halves()
+        return QMatrix(top=np.concatenate(
+            [a1 * z1 - a2 * z2.conjugate(), a1 * z2 + a2 * z1.conjugate()],
+            axis=1))
 
     def dagger(self):
         """Conjugate transpose."""
-        return self.conjugate().transpose()
+        a1, a2 = self._halves()
+        return QMatrix(top=np.concatenate([a1.conj().T, -a2.T], axis=1))
 
     def trace(self):
         if not self.is_square():
             raise NonSquare("trace of a non-square matrix")
-        n = self.rows
-        comps = self.data[np.arange(n), np.arange(n), :].sum(axis=0)
-        return Quaternion(*comps)
+        a1, a2 = (np.trace(half) for half in self._halves())
+        return Quaternion(a1.real, a1.imag, a2.real, a2.imag)
 
     def re_trace(self):
         return float(self.trace().q0)
@@ -279,9 +317,7 @@ class QMatrix:
     def abs_entries(self):
         """Entry moduli |a1 + a2 j| = hypot(|a1|, |a2|), the formula of
         `sum_norms`, finite wherever the modulus is."""
-        # (q0, q1, q2, q3) read as the complex pair (a1, a2)
-        pairs = np.abs(np.ascontiguousarray(self.data).view(complex))
-        return np.hypot(pairs[..., 0], pairs[..., 1])
+        return _moduli(self.top)
 
     def sum_norm(self):
         """Entrywise sum norm: sum of the moduli of all entries."""
@@ -289,13 +325,13 @@ class QMatrix:
 
     def frobenius_sq(self):
         """Squared Frobenius norm: sum of squared entry moduli."""
-        return float((self.data ** 2).sum())
+        return float((self.top.view(float) ** 2).sum())
 
     def max_abs(self):
-        return float(self.abs_entries().max()) if self.data.size else 0.0
+        return float(self.abs_entries().max()) if self.top.size else 0.0
 
     def submatrix(self, r0, r1, c0, c1):
-        return QMatrix(self.data[r0:r1, c0:c1, :].copy())
+        return QMatrix(top=self.top[r0:r1, _block_cols(self.cols, c0, c1)])
 
 
 def sum_norm(A):
@@ -321,17 +357,7 @@ def adjoint(A):
     """
     if not A.is_square():
         raise NonSquare("adjoint requires a square matrix")
-    return adjoints(A.data)
-
-
-def adjoints(data):
-    """(..., 2n, 2n) complex adjoints of (..., n, n, 4) quaternion components
-    (the inverse of `quaternion_data`)."""
-    a1 = data[..., 0] + 1j * data[..., 1]
-    a2 = data[..., 2] + 1j * data[..., 3]
-    top = np.concatenate([a1, a2], axis=-1)
-    bottom = np.concatenate([-a2.conj(), a1.conj()], axis=-1)
-    return np.concatenate([top, bottom], axis=-2)
+    return adjoints(A.top)
 
 
 def omega_residual(chi):
@@ -347,58 +373,50 @@ def omega_residual(chi):
     return float(np.max(np.maximum(r1, r2) / scale))
 
 
-def project_omega(chi):
-    """Average the redundant blocks onto the exact quaternion block form
-    (of each matrix in a stack)."""
+def _projected_top(chi):
+    # the top block row of the nearest quaternion block form
     n = chi.shape[-1] // 2
     a1 = 0.5 * (chi[..., :n, :n] + chi[..., n:, n:].conj())
     a2 = 0.5 * (chi[..., :n, n:] - chi[..., n:, :n].conj())
-    top = np.concatenate([a1, a2], axis=-1)
-    bottom = np.concatenate([-a2.conj(), a1.conj()], axis=-1)
-    return np.concatenate([top, bottom], axis=-2)
+    return np.concatenate([a1, a2], axis=-1)
+
+
+def project_omega(chi):
+    """Average the redundant blocks onto the exact quaternion block form
+    (of each matrix in a stack)."""
+    return adjoints(_projected_top(chi))
 
 
 def from_adjoint(chi, project=True):
-    """Map a quaternion-structured 2n x 2n complex matrix back to a QMatrix."""
-    if project:
-        chi = project_omega(chi)
-    return QMatrix(quaternion_data(chi))
+    """The QMatrix of a quaternion-structured 2n x 2n complex matrix: its
+    top block row, after averaging the redundant blocks unless `project` is
+    false."""
+    return QMatrix(top=_projected_top(chi) if project
+                   else chi[:chi.shape[-1] // 2])
 
 
 def quaternion_data(chi):
     """(..., n, n, 4) quaternion components of a (..., 2n, 2n) stack of
     adjoints, read from their top block row [A1, A2]."""
-    n = chi.shape[-1] // 2
-    a1 = chi[..., :n, :n]
-    a2 = chi[..., :n, n:]
-    return np.stack([a1.real, a1.imag, a2.real, a2.imag], axis=-1)
+    return components(chi[..., :chi.shape[-1] // 2, :])
 
 
 def sum_norms(chi):
     """Entrywise sum norm of the quaternion matrix behind each adjoint in a
     (..., 2n, 2n) stack."""
-    n = chi.shape[-1] // 2
-    moduli = np.hypot(np.abs(chi[..., :n, :n]), np.abs(chi[..., :n, n:]))
-    return moduli.sum(axis=(-2, -1))
+    return _moduli(chi[..., :chi.shape[-1] // 2, :]).sum(axis=(-2, -1))
 
 
 def embed_vector(x):
-    """Complex 2n-vector representing the quaternion column x = x1 + x2*j."""
-    x1 = x.data[:, 0, 0] + 1j * x.data[:, 0, 1]
-    x2 = x.data[:, 0, 2] + 1j * x.data[:, 0, 3]
-    return np.concatenate([x1, -x2.conj()])
+    """Complex 2n-vector representing the quaternion column x = x1 + x2*j:
+    the first column of its adjoint."""
+    return np.concatenate([x.top[:, 0], -x.top[:, 1].conj()])
 
 
 def lift_vector(u):
     """Quaternion column for a complex 2n-vector (inverse of embed_vector)."""
     n = u.shape[0] // 2
-    u1, u2 = u[:n], u[n:]
-    arr = np.zeros((n, 1, 4))
-    arr[:, 0, 0] = u1.real
-    arr[:, 0, 1] = u1.imag
-    arr[:, 0, 2] = -u2.real
-    arr[:, 0, 3] = u2.imag
-    return QMatrix(arr)
+    return QMatrix(top=np.stack([u[:n], -u[n:].conj()], axis=1))
 
 
 def qdet(A):
@@ -648,11 +666,6 @@ def _member_spectrum(chi, svals, eigs, vecs, scale, singular_tol):
     return StandardSpectrum(entries, svals)
 
 
-def _eig_residual(A, eta, value):
-    shifted = A @ eta - eta.scale_right(Quaternion.from_complex(value))
-    return shifted.sum_norm()
-
-
 def _eigenvector(A, value):
     """Unit right eigenvector of A for the standard eigenvalue `value`, and
     its residual ||A eta - eta value||.
@@ -672,7 +685,7 @@ def _eigenvector(A, value):
     best, best_resid = None, math.inf
     for m in kernel:
         eta = lift_vector(vh[m].conj())
-        resid = _eig_residual(A, eta, value)
+        resid = (A @ eta - eta.scale_right(value)).sum_norm()
         if resid < best_resid:
             best, best_resid = eta, resid
     if value.imag == 0.0:
@@ -859,10 +872,11 @@ def quaternion_schur(A, spectrum=None):
     StandardSpectrum, which the first deflation step then uses.
     """
     n = A.rows
-    t = A.data.copy()
-    u = QMatrix.identity(n).data.copy()
+    t = np.array(A.top)
+    u = np.eye(n, 2 * n, dtype=complex)
     for k in range(n - 1):
-        sub = QMatrix(t[k:, k:, :].copy())
+        cols = _block_cols(n, k, n)
+        sub = QMatrix(top=t[k:, cols])
         spec = standard_eigenvalues(sub) if k or spectrum is None else spectrum
         target = min(spec.values(), key=lambda v: (v.real, v.imag))
         eta, resid = _eigenvector(sub, target)
@@ -874,36 +888,27 @@ def quaternion_schur(A, spectrum=None):
             nearest = eigs[np.argmin(np.abs(eigs - target))]
             eta, _ = _eigenvector(sub, complex(nearest.real, abs(nearest.imag)))
         basis = _complete_unitary(eta, sub.rows)
-        v = QMatrix(np.concatenate([b.data for b in basis], axis=1))
+        # v's columns are the basis columns, side by side
+        v = QMatrix(top=np.stack([b.top for b in basis], axis=-1)
+                    .reshape(sub.rows, 2 * sub.rows))
         # similarity by diag(I_k, v)
-        sub_new = v.dagger() @ sub @ v
-        t[k:, k:, :] = sub_new.data
-        if k:
-            strip = QMatrix(t[:k, k:, :].copy()) @ v
-            t[:k, k:, :] = strip.data
-        u_strip = QMatrix(u[:, k:, :].copy()) @ v
-        u[:, k:, :] = u_strip.data
+        t[:, cols] = (QMatrix(top=t[:, cols]) @ v).top
+        t[k:, cols] = (v.dagger() @ QMatrix(top=t[k:, cols])).top
+        u[:, cols] = (QMatrix(top=u[:, cols]) @ v).top
     # the trailing 1x1 block is only similar to its standard eigenvalue:
     # rotate it into the complex plane with a scalar unitary similarity
-    last = Quaternion(*t[n - 1, n - 1])
-    w = _rotation_to_complex(last)
-    w_conj = Quaternion(w.q0, -w.q1, -w.q2, -w.q3)
-    t[n - 1, n - 1, :] = (w_conj * last * w).components()
-    for i in range(n - 1):
-        t[i, n - 1, :] = (Quaternion(*t[i, n - 1]) * w).components()
-    for i in range(n):
-        u[i, n - 1, :] = (Quaternion(*u[i, n - 1]) * w).components()
-    # wipe the (tiny) strictly lower triangle left by rounding
-    lower_resid = 0.0
-    for i in range(n):
-        for j in range(i):
-            lower_resid = max(lower_resid, float(np.linalg.norm(t[i, j])))
-            t[i, j, :] = 0.0
-    # diagonal entries are standard eigenvalues: drop their j/k rounding dust
-    for i in range(n):
-        t[i, i, 2:] = 0.0
-    log.debug("schur strictly-lower residue %.3e", lower_resid)
-    return QMatrix(u), QMatrix(t)
+    w = _rotation_to_complex(QMatrix(top=t)[n - 1, n - 1])
+    rotation = QMatrix.diag([1.0] * (n - 1) + [w])
+    T = rotation.dagger() @ QMatrix(top=t) @ rotation
+    # wipe the (tiny) strictly lower triangle left by rounding, and the j/k
+    # rounding dust of the diagonal, whose entries are standard eigenvalues
+    lower = np.tri(n, k=-1, dtype=bool)
+    log.debug("schur strictly-lower residue %.3e",
+              T.abs_entries()[lower].max(initial=0.0))
+    t = np.array(T.top)
+    t[:, :n][lower] = 0.0
+    t[:, n:][lower | np.eye(n, dtype=bool)] = 0.0
+    return QMatrix(top=u) @ rotation, QMatrix(top=t)
 
 
 def _complete_unitary(first_column, m):
@@ -1019,7 +1024,7 @@ def _log_negative_real_block(T_b, radius):
     L1 = _principal_log(U_b)
     if L1 is None:
         return None
-    if np.diagonal(T_b.data[..., 1]).min() > EIGVEC_RESID_TOL * radius:
+    if T_b.top.diagonal().imag.min() > EIGVEC_RESID_TOL * radius:
         X = -1j * adjoint(L1)
         root = _sqrtm(X @ X)
         if root is None:
@@ -1034,16 +1039,18 @@ def _log_negative_real_block(T_b, radius):
 
 
 def _phi_matrix(L_ii, L_jj):
-    """Real matrix of X -> expm([[L_ii, X], [0, L_jj]]) top-right block,
-    from one stacked exponential with X running over the real basis."""
+    """Real matrix of X -> expm([[L_ii, X], [0, L_jj]]) top-right block, on
+    the real coordinates of top block rows, from one stacked exponential
+    with X running over their basis."""
     ni, nj = L_ii.rows, L_jj.rows
-    dim = 4 * ni * nj
-    arr = np.zeros((dim, ni + nj, ni + nj, 4))
-    arr[:, :ni, :ni, :] = L_ii.data
-    arr[:, ni:, ni:, :] = L_jj.data
-    arr[:, :ni, ni:, :] = np.eye(dim).reshape(dim, ni, nj, 4)
-    big = quaternion_data(expm_adjoint(adjoints(arr)))
-    return big[:, :ni, ni:, :].reshape(dim, dim).T
+    n, dim = ni + nj, 4 * ni * nj
+    right = _block_cols(n, ni, n)
+    top = np.zeros((dim, ni + nj, 2 * n), dtype=complex)
+    top[:, :ni, _block_cols(n, 0, ni)] = L_ii.top
+    top[:, ni:, right] = L_jj.top
+    top[:, :ni, right] = np.eye(dim).view(complex).reshape(dim, ni, 2 * nj)
+    big = expm_adjoint(adjoints(top))[:, :ni, right]
+    return np.ascontiguousarray(big).view(float).reshape(dim, dim).T
 
 
 def _log_triangular(T, diag_values):
@@ -1051,7 +1058,7 @@ def _log_triangular(T, diag_values):
     n = T.rows
     bounds = _block_boundaries(diag_values)
     nblocks = len(bounds) - 1
-    L = np.zeros((n, n, 4))
+    L = np.zeros((n, 2 * n), dtype=complex)
     block_logs = []
     for bidx in range(nblocks):
         r0, r1 = bounds[bidx], bounds[bidx + 1]
@@ -1066,19 +1073,21 @@ def _log_triangular(T, diag_values):
             L_b = _principal_log(T_b)
             if L_b is None:
                 return None
-        L[r0:r1, r0:r1, :] = L_b.data
+        L[r0:r1, _block_cols(n, r0, r1)] = L_b.top
         block_logs.append(L_b)
     for span in range(1, nblocks):
         for bi in range(nblocks - span):
             bj = bi + span
             r0, r1 = bounds[bi], bounds[bi + 1]
             c0, c1 = bounds[bj], bounds[bj + 1]
-            current = expm(QMatrix(L.copy()))
+            current = expm(QMatrix(top=L.copy()))
             resid = T.submatrix(r0, r1, c0, c1) - current.submatrix(r0, r1, c0, c1)
             phi = _phi_matrix(block_logs[bi], block_logs[bj])
-            x, *_ = np.linalg.lstsq(phi, resid.data.ravel(), rcond=None)
-            L[r0:r1, c0:c1, :] = x.reshape((r1 - r0, c1 - c0, 4))
-    return QMatrix(L)
+            x, *_ = np.linalg.lstsq(phi, resid.top.view(float).ravel(),
+                                    rcond=None)
+            L[r0:r1, _block_cols(n, c0, c1)] = x.view(complex).reshape(
+                r1 - r0, 2 * (c1 - c0))
+    return QMatrix(top=L)
 
 
 def _schur_log(C, spectrum):
@@ -1086,9 +1095,7 @@ def _schur_log(C, spectrum):
     of T, or None when a step fails."""
     try:
         U, T = quaternion_schur(C, spectrum)
-        diag_values = [complex(T.data[m, m, 0], T.data[m, m, 1])
-                       for m in range(C.rows)]
-        L = _log_triangular(T, diag_values)
+        L = _log_triangular(T, T.top.diagonal().tolist())
     except (OmegaViolation, PairingFailure):
         return None
     return None if L is None else U @ L @ U.dagger()

@@ -211,13 +211,17 @@ def exp_components(a):
     """Quaternion exponential of a component tuple.
 
     Closed form e^{a0} (cos|v| + (v/|v|) sin|v|) with v the vector part;
-    the sin|v|/|v| factor switches to its series below SINC_EPS.
+    the sin|v|/|v| factor switches to its series below SINC_EPS.  A zero
+    vector component stays zero, with its sign, also where e^{a0} overflows,
+    so exp(1000 + 0i) is exp(1000), not inf * 0 = nan.
     """
     a0, a1, a2, a3 = a
     r = hypot(a1, a2, a3)
     s = _sinc(r)
     ea = np.exp(a0)
-    return (ea * np.cos(r), ea * s * a1, ea * s * a2, ea * s * a3)
+    scale = ea * s
+    return (ea * np.cos(r),) + tuple(np.where(c == 0, s * c, scale * c)[()]
+                                     for c in (a1, a2, a3))
 
 
 def similar(p, q, tol=SIMILAR_TOL):

@@ -10,7 +10,7 @@ from qfloquet.qmatrix import (EIGVEC_RESID_TOL, LOG_RESID_TOL, NonSquare,
                               omega_residual, qdet, quaternion_schur,
                               right_eigenvector, spectral_map_check,
                               standard_eigenvalues, sum_norm)
-from qfloquet.quaternion import I, J, K, Quaternion, inverse
+from qfloquet.quaternion import I, J, K, Quaternion, conj, inverse
 
 from conftest import CONST_DEFECTIVE_3X3, CONST_UNSTABLE_3X3
 
@@ -77,6 +77,29 @@ def test_adjoint_multiplicative():
         lhs = adjoint(A @ B)
         rhs = reference_adjoint(A) @ reference_adjoint(B)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_products_match_quaternion_arithmetic():
+    # an oracle that does not go through the adjoint: each entry of A @ B
+    # (columns included), of A q and of A^dagger from Quaternion operations
+    rng = np.random.default_rng(17)
+    for n, m, k in [(1, 1, 1), (3, 1, 1), (2, 3, 1), (4, 4, 1), (3, 2, 4),
+                    (1, 5, 2), (5, 1, 3), (4, 6, 5)]:
+        A, B = random_qmatrix(rng, n, m), random_qmatrix(rng, m, k)
+        q = Quaternion(*rng.uniform(-1, 1, 4))
+        product, scaled, dagger = A @ B, A.scale_right(q), A.dagger()
+        assert (product.shape, scaled.shape, dagger.shape) == \
+            ((n, k), (n, m), (m, n))
+        scale = m * A.max_abs() * B.max_abs()
+        for i in range(n):
+            for j in range(k):
+                expected = sum((A[i, l] * B[l, j] for l in range(m)),
+                               Quaternion())
+                assert abs(product[i, j] - expected) <= 1e-13 * scale
+            for j in range(m):
+                assert abs(scaled[i, j] - A[i, j] * q) \
+                    <= 1e-13 * A.max_abs() * abs(q)
+                assert dagger[j, i] == conj(A[i, j])
 
 
 def test_adjoint_additive_exact():
