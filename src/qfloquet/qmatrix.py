@@ -25,7 +25,10 @@ adjoint kernel vector and, for a real eigenvalue, fixes its quaternion
 phase.  `logm` has two routes, the principal logarithm and a Schur route
 for eigenvalues on or next to the negative real axis; the phase rule makes
 the direction of log(-1) that the Schur route picks independent of
-rounding.
+rounding.  The Schur route is one block Schur-Parlett pass: the matrix is
+triangularized in the order of its one standard spectrum, each spectrum
+entry's run of the diagonal is one block with its own log, and each
+off-diagonal block of the log solves a Sylvester equation on the adjoints.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternion import Quaternion, conj
+from .quaternion import J, Quaternion, conj
 
 log = logging.getLogger(__name__)
 
@@ -375,9 +378,9 @@ def omega_residual(chi):
 
 def _projected_top(chi):
     # the top block row of the nearest quaternion block form
-    n = chi.shape[-1] // 2
-    a1 = 0.5 * (chi[..., :n, :n] + chi[..., n:, n:].conj())
-    a2 = 0.5 * (chi[..., :n, n:] - chi[..., n:, :n].conj())
+    r, c = chi.shape[-2] // 2, chi.shape[-1] // 2
+    a1 = 0.5 * (chi[..., :r, :c] + chi[..., r:, c:].conj())
+    a2 = 0.5 * (chi[..., :r, c:] - chi[..., r:, :c].conj())
     return np.concatenate([a1, a2], axis=-1)
 
 
@@ -843,42 +846,44 @@ def _principal_log(C):
 
 
 def _rotation_to_complex(q):
-    """Unit quaternion w with conj(w) * q * w complex (Im >= 0)."""
+    """Unit quaternion w with conj(w) * q * w complex (Im >= 0).
+
+    For the unit vector part u of q, w = (1 - u i) / |1 - u i| solves
+    u w = w i, and |1 - u i|^2 = 2 (1 + u1).  When u's i-component u1 is
+    negative, a similarity by j (which negates the i- and k-components)
+    comes first, so |1 - u i| >= sqrt(2) and w keeps full accuracy.
+    """
     vec_norm = math.hypot(q.q1, q.q2, q.q3)
     if vec_norm < 1e-14 * max(1.0, abs(q)):
         return Quaternion(1.0)
-    u = Quaternion(0.0, q.q1 / vec_norm, q.q2 / vec_norm, q.q3 / vec_norm)
-    # solve u w = w i: w conjugates the vector direction onto +i
-    unit_i = Quaternion(0.0, 1.0, 0.0, 0.0)
-    system = np.zeros((4, 4))
-    for col, basis in enumerate((Quaternion(1), Quaternion(0, 1, 0, 0),
-                                 Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1))):
-        image = u * basis - basis * unit_i
-        system[:, col] = image.components()
-    _, _, vh = np.linalg.svd(system)
-    w = Quaternion(*vh[-1])
-    return w * (1.0 / abs(w))
+    flip = -1.0 if q.q1 < 0 else 1.0
+    u1, u2, u3 = flip * q.q1 / vec_norm, q.q2 / vec_norm, flip * q.q3 / vec_norm
+    # 1 - u i = (1 + u1) - u3 j + u2 k
+    w = Quaternion(1.0 + u1, 0.0, -u3, u2) * (1.0 / math.sqrt(2.0 * (1.0 + u1)))
+    return J * w if flip < 0 else w
 
 
 def quaternion_schur(A, spectrum=None):
     """Unitary triangularization A = U T U^dagger with complex diagonal.
 
-    T is upper triangular; its diagonal entries are the standard eigenvalues
-    (as complex numbers) in ascending (Re, Im) order, which keeps repeated
-    classes adjacent for the block logarithm.  A value that the spectrum
-    snapped onto the real axis but A only nearly has (its eigenvector misses
-    EIGVEC_RESID_TOL) is deflated as the adjoint eigenvalue nearest to it,
-    which then stands on the diagonal.  `spectrum`, when given, is A's
-    StandardSpectrum, which the first deflation step then uses.
+    T is upper triangular.  Its diagonal holds A's standard eigenvalues in
+    the order of its StandardSpectrum, ascending (Re, Im), each repeated by
+    its algebraic multiplicity: A is deflated one eigenvector at a time in
+    that order, so each spectrum entry's run is one diagonal block of T for
+    `_log_triangular`.  A value that the spectrum snapped onto the real axis
+    but A only nearly has (its eigenvector misses EIGVEC_RESID_TOL) is
+    deflated as the adjoint eigenvalue nearest to it, which then stands on
+    the diagonal.  `spectrum`, when given, is A's StandardSpectrum;
+    otherwise it is computed once here.
     """
     n = A.rows
+    if spectrum is None:
+        spectrum = standard_eigenvalues(A)
     t = np.array(A.top)
     u = np.eye(n, 2 * n, dtype=complex)
-    for k in range(n - 1):
+    for k, target in enumerate(spectrum.expanded()[:-1]):
         cols = _block_cols(n, k, n)
         sub = QMatrix(top=t[k:, cols])
-        spec = standard_eigenvalues(sub) if k or spectrum is None else spectrum
-        target = min(spec.values(), key=lambda v: (v.real, v.imag))
         eta, resid = _eigenvector(sub, target)
         if resid > EIGVEC_RESID_TOL * max(1.0, sub.sum_norm()):
             # a pair just off the real axis, snapped onto it: deflate with
@@ -929,15 +934,6 @@ def _complete_unitary(first_column, m):
         if len(basis) == m:
             break
     return basis
-
-
-def _block_boundaries(diag_values):
-    bounds = [0]
-    for m in range(1, len(diag_values)):
-        if abs(diag_values[m] - diag_values[m - 1]) > EIG_CLUSTER_TOL:
-            bounds.append(m)
-    bounds.append(len(diag_values))
-    return bounds
 
 
 def _is_negative_real(value):
@@ -1038,65 +1034,59 @@ def _log_negative_real_block(T_b, radius):
     return QMatrix.diag([math.log(radius)] * m) + rotation + L1
 
 
-def _phi_matrix(L_ii, L_jj):
-    """Real matrix of X -> expm([[L_ii, X], [0, L_jj]]) top-right block, on
-    the real coordinates of top block rows, from one stacked exponential
-    with X running over their basis."""
-    ni, nj = L_ii.rows, L_jj.rows
-    n, dim = ni + nj, 4 * ni * nj
-    right = _block_cols(n, ni, n)
-    top = np.zeros((dim, ni + nj, 2 * n), dtype=complex)
-    top[:, :ni, _block_cols(n, 0, ni)] = L_ii.top
-    top[:, ni:, right] = L_jj.top
-    top[:, :ni, right] = np.eye(dim).view(complex).reshape(dim, ni, 2 * nj)
-    big = expm_adjoint(adjoints(top))[:, :ni, right]
-    return np.ascontiguousarray(big).view(float).reshape(dim, dim).T
+def _log_triangular(T, spectrum):
+    """Upper-triangular quaternion log L of the Schur factor T of a matrix
+    with StandardSpectrum `spectrum`, by the block Schur-Parlett recurrence
+    (Davies & Higham, SIAM J. Matrix Anal. Appl. 25(2), 2003), or None when a
+    diagonal block has no log.
 
-
-def _log_triangular(T, diag_values):
-    """Upper-triangular quaternion log of a triangular T, block by block."""
+    Each spectrum entry's run of T's diagonal is one block, and the entry's
+    value picks its log: the negative-real branch or the principal log.
+    L commutes with T, so, superdiagonal by superdiagonal, each off-diagonal
+    block solves the Sylvester equation
+    T_ii L_ij - L_ij T_jj = L_ii T_ij - T_ij L_jj + sum_{i<k<j} (L_ik T_kj - T_ik L_kj)
+    on the adjoints, which is uniquely solvable because the blocks' adjoint
+    spectra are disjoint.
+    """
     n = T.rows
-    bounds = _block_boundaries(diag_values)
-    nblocks = len(bounds) - 1
+    stops = np.cumsum([0] + [e.algebraic_multiplicity for e in spectrum]).tolist()
+    blocks = list(zip(stops, stops[1:]))
     L = np.zeros((n, 2 * n), dtype=complex)
-    block_logs = []
-    for bidx in range(nblocks):
-        r0, r1 = bounds[bidx], bounds[bidx + 1]
+    for (r0, r1), entry in zip(blocks, spectrum):
         T_b = T.submatrix(r0, r1, r0, r1)
-        value = diag_values[r0]
-        if _is_negative_real(value):
-            L_b = _log_negative_real_block(T_b, abs(value.real))
-            if L_b is None:
-                return None
-            log.debug("negative-real branch used for eigenvalue %.6g", value)
+        if _is_negative_real(entry.value):
+            L_b = _log_negative_real_block(T_b, abs(entry.value.real))
+            log.debug("negative-real branch used for eigenvalue %.6g",
+                      entry.value)
         else:
             L_b = _principal_log(T_b)
-            if L_b is None:
-                return None
+        if L_b is None:
+            return None
         L[r0:r1, _block_cols(n, r0, r1)] = L_b.top
-        block_logs.append(L_b)
-    for span in range(1, nblocks):
-        for bi in range(nblocks - span):
-            bj = bi + span
-            r0, r1 = bounds[bi], bounds[bi + 1]
-            c0, c1 = bounds[bj], bounds[bj + 1]
-            current = expm(QMatrix(top=L.copy()))
-            resid = T.submatrix(r0, r1, c0, c1) - current.submatrix(r0, r1, c0, c1)
-            phi = _phi_matrix(block_logs[bi], block_logs[bj])
-            x, *_ = np.linalg.lstsq(phi, resid.top.view(float).ravel(),
-                                    rcond=None)
-            L[r0:r1, _block_cols(n, c0, c1)] = x.view(complex).reshape(
-                r1 - r0, 2 * (c1 - c0))
+    chi_t = adjoint(T)
+    for span in range(1, len(blocks)):
+        for (r0, r1), (c0, c1) in zip(blocks, blocks[span:]):
+            rows, cols = _block_cols(n, r0, r1), _block_cols(n, c0, c1)
+            # with L_ij still zero, block ij of L T - T L is the right side
+            chi_l = adjoints(L)
+            rhs = (chi_l @ chi_t - chi_t @ chi_l)[np.ix_(rows, cols)]
+            # vec(A X - X B) = (I kron A - B^T kron I) vec X, column-major
+            sylvester = (np.kron(np.eye(len(cols)), chi_t[np.ix_(rows, rows)])
+                         - np.kron(chi_t[np.ix_(cols, cols)].T,
+                                   np.eye(len(rows))))
+            x = np.linalg.solve(sylvester, rhs.ravel(order="F"))
+            L[r0:r1, cols] = _projected_top(x.reshape(rhs.shape, order="F"))
     return QMatrix(top=L)
 
 
 def _schur_log(C, spectrum):
     """U L U^dagger from the Schur form C = U T U^dagger and a block log L
-    of T, or None when a step fails."""
+    of T, or None when a step fails (a singular Sylvester system among
+    them)."""
     try:
         U, T = quaternion_schur(C, spectrum)
-        L = _log_triangular(T, T.top.diagonal().tolist())
-    except (OmegaViolation, PairingFailure):
+        L = _log_triangular(T, spectrum)
+    except np.linalg.LinAlgError:
         return None
     return None if L is None else U @ L @ U.dagger()
 
@@ -1107,11 +1097,15 @@ def logm(C, spectrum=None):
     Two routes are tried in turn, and the first whose result meets the
     residual contract (`_log_residual_ok`) is returned.  The principal
     adjoint logarithm comes first when no eigenvalue is near the negative
-    real axis.  Otherwise the Schur route comes first: a Schur
-    triangularization with per-class branch handling for negative-real
-    eigenvalues, whose log(-1) directions follow from eigenvectors with a
-    fixed phase, so rounding in C cannot turn them.  The principal
-    logarithm then serves an eigenvalue that only lies near the axis.
+    real axis.  Otherwise the Schur route comes first: the Schur form
+    C = U T U^dagger (`quaternion_schur`), deflated in the order of C's
+    standard spectrum, and a block Schur-Parlett log of T
+    (`_log_triangular`).  Each spectrum entry is one diagonal block, logged
+    on the negative-real branch or the principal one, and each off-diagonal
+    block is one Sylvester solve.  The log(-1) directions follow from
+    eigenvectors with a fixed phase, so rounding in C cannot turn them.  The
+    principal logarithm then serves an eigenvalue that only lies near the
+    axis.
     `spectrum`, when given, is C's StandardSpectrum from
     `standard_eigenvalues`; its singular values and eigenvalues are then not
     computed again.

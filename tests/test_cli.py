@@ -435,6 +435,18 @@ def test_replay_reproduces_report(tmp_path, capsys):
     assert replayed["results"]["re_trace"] == original["results"]["re_trace"]
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize("fixture", ["growing", "defective", "marginal"])
+def test_replay_of_committed_periodic_reports(fixture, capsys):
+    # `periodic --format json` reports of the paper's -1 fixtures, whose B
+    # comes from logm's Schur route; a change that moves B beyond the replay
+    # tolerance regenerates them
+    path = os.path.join(DATA, f"periodic_{fixture}.json")
+    assert run_cli(["--replay", path]) == 0, capsys.readouterr().err
+
+
 def test_integrator_flags_are_honored(tmp_path):
     loose = tmp_path / "loose.json"
     tight = tmp_path / "tight.json"

@@ -705,6 +705,28 @@ def test_logm_clusters_snapped_onto_the_negative_axis(distance):
         assert log_residual(logm(C), C) <= LOG_RESID_TOL
 
 
+def close_blocks_inputs(rng, draws):
+    """S T S^-1 for upper-triangular T with a -1 pair, which sends logm down
+    the Schur route, and two blocks at 0.5 + 0.3i and 0.5 + gap + 0.3i, the
+    gap log-uniform just above EIG_CLUSTER_TOL."""
+    for _ in range(draws):
+        gap = 10 ** float(rng.uniform(math.log10(2e-6), -3))
+        diag = [-1.0, -1.0, complex(0.5, 0.3), complex(0.5 + gap, 0.3)]
+        T = QMatrix.from_entries(
+            [[diag[a] if a == b
+              else Quaternion(*rng.uniform(-1, 1, 4)) if b > a else 0.0
+              for b in range(4)] for a in range(4)])
+        S = random_similarity(rng, 4)
+        yield S @ T @ inv(S)
+
+
+def test_logm_schur_route_on_close_blocks():
+    # the Sylvester solve between two blocks is conditioned by their gap,
+    # the weak spot of a Schur-Parlett recurrence
+    for C in close_blocks_inputs(np.random.default_rng(31), 60):
+        assert log_residual(logm(C), C) <= LOG_RESID_TOL
+
+
 def test_expm_and_logm_agree_with_scipy():
     # SciPy serves only as an oracle here; the package itself never loads it
     import scipy.linalg
@@ -755,6 +777,33 @@ def test_expm_stack_member_equals_its_single_call():
 def test_logm_rejects_singular():
     with pytest.raises(Singular):
         logm(QMatrix.zeros(2))
+
+
+def rotation_inputs(rng):
+    """Random quaternions, and quaternions whose vector part points 0 to
+    1e-6 radians away from +i and from -i."""
+    for _ in range(200):
+        yield Quaternion(*rng.normal(size=4))
+    for pole in (1.0, -1.0):
+        for angle in (0.0, 1e-15, 1e-12, 1e-9, 1e-6):
+            for _ in range(20):
+                side = rng.normal(size=2)
+                side *= math.sin(angle) / np.linalg.norm(side)
+                vector = np.array([pole * math.cos(angle), *side])
+                yield Quaternion(float(rng.normal()),
+                                 *(float(rng.uniform(0.1, 10.0)) * vector))
+
+
+def test_rotation_to_complex_is_accurate_near_both_poles():
+    # w = (1 - u i)/|1 - u i| alone loses all accuracy near u = -i, where
+    # 1 - u i vanishes; the similarity by j there keeps |1 - u i| >= sqrt(2)
+    from qfloquet.qmatrix import _rotation_to_complex
+    for q in rotation_inputs(np.random.default_rng(32)):
+        w = _rotation_to_complex(q)
+        assert abs(abs(w) - 1.0) <= 1e-15
+        image = conj(w) * q * w
+        assert math.hypot(image.q2, image.q3) <= 1e-15 * abs(q)
+        assert image.q1 >= 0.0
 
 
 def test_schur_triangularizes():
