@@ -45,14 +45,6 @@ MAX_SWEEP_POINTS = 100_000
 # -- serialization ------------------------------------------------------------
 
 
-def _quat_json(q):
-    return [float(q.q0), float(q.q1), float(q.q2), float(q.q3)]
-
-
-def _matrix_json(M):
-    return [[_quat_json(M[i, j]) for j in range(M.cols)] for i in range(M.rows)]
-
-
 def _complex_json(z):
     return [z.real, z.imag]
 
@@ -220,7 +212,7 @@ def run_constant(config):
     else:
         summary = _norm_trend(norms)
     return {
-        "matrix": _matrix_json(A),
+        "matrix": A.data.tolist(),
         "eigenvalues": _spectrum_json(spectrum),
         "verdict": _verdict_json(verdict),
         "norm_samples": norms,
@@ -244,18 +236,19 @@ def run_periodic(config):
     norms = sum_norms(fd.M_samples[[0, middle, P_SAMPLE_COUNT - 1,
                                     P_SAMPLE_COUNT + middle, -1]]).tolist()
     # t, then the components of M(t), entry by entry in row-major order
-    trajectory = [[t] + state.ravel().tolist() for (t, _), state in zip(
-        fd.P_samples, quaternion_data(fd.M_samples[:P_SAMPLE_COUNT]))]
+    trajectory = [[t] + state.ravel().tolist() for t, state in zip(
+        fd.sample_times.tolist(),
+        quaternion_data(fd.M_samples[:P_SAMPLE_COUNT]))]
     return {
         "period": fd.period,
-        "monodromy": _matrix_json(fd.monodromy),
+        "monodromy": fd.monodromy.data.tolist(),
         "multipliers": _spectrum_json(fd.multipliers),
         "exponents": [_complex_json(mu) for mu in fd.exponents],
-        "B": _matrix_json(fd.B),
+        "B": fd.B.data.tolist(),
         "B_spectrum": _spectrum_json(b_spectrum),
         "periodicity_residual": fd.periodicity_residual,
-        "product_residual": multiplier_product_check(fd, spec),
-        "exponent_sum_residual": exponent_sum_residual(fd, spec),
+        "product_residual": multiplier_product_check(fd),
+        "exponent_sum_residual": exponent_sum_residual(fd),
         "verdict": _verdict_json(verdict),
         "norm_samples": norms,
         "norm_summary": _norm_trend(norms),
@@ -279,7 +272,7 @@ def run_hill(config):
     moduli = sorted(abs(v) for v in report.multipliers.expanded())
     return {
         "period": problem.period,
-        "monodromy": _matrix_json(report.M_T),
+        "monodromy": report.M_T.data.tolist(),
         "re_trace": report.re_trace,
         "frob_sq": report.frob_sq,
         "multipliers": _spectrum_json(report.multipliers),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import GRID_POINTS
-from .integrate import integrate, trace_integral
+from .integrate import integrate, integrate_batch, trace_integral
 from .qmatrix import (EIG_CLUSTER_TOL, SINGULAR_TOL, QMatrix,
                       StandardSpectrum, adjoint, expm_adjoint, from_adjoint,
                       logm, right_eigenvector, standard_eigenvalues, sum_norms)
@@ -82,14 +82,16 @@ class PeriodicWitness:
 
 @dataclass(frozen=True)
 class FloquetData:
+    """What `normal_form` finds; its samples are stacks of adjoints."""
     period: float
     monodromy: QMatrix
     B: QMatrix
     multipliers: StandardSpectrum
     exponents: list
-    P_samples: list
-    M_samples: np.ndarray   # adjoints of M(t) at the P_samples times t,
-                            # then at t + T
+    sample_times: np.ndarray   # P_SAMPLE_COUNT times from 0 to T
+    P_samples: np.ndarray   # adjoints of P(t) at the sample times
+    M_samples: np.ndarray   # adjoints of M(t) at the sample times t, then
+                            # at t + T
     periodicity_residual: float
     trajectory: object   # the [0, 2T] integration behind the samples
     trace_integral: float   # integral of Re tr A over [0, T]
@@ -181,9 +183,11 @@ def _require_periodic(spec, params=None):
 def monodromy(spec, cfg=None, params=None):
     """M(T) of the principal fundamental matrix (M(0) = I)."""
     _require_periodic(spec, params)
-    traj = integrate(spec, 0.0, spec.period, QMatrix.identity(spec.n), cfg,
-                     params=params)
-    return traj.final
+    (mono,) = integrate_batch(spec, 0.0, spec.period,
+                              QMatrix.identity(spec.n), params, cfg)
+    if isinstance(mono, Exception):
+        raise mono
+    return mono
 
 
 def characteristic_multipliers(mono):
@@ -216,22 +220,22 @@ def normal_form(spec, cfg=None, params=None):
 
     Integrates the principal fundamental matrix to 2T and reads M(t) from
     the integrator's continuous extension, so the periodicity of
-    P(t) = M(t) e^{-tB} can be verified sample by sample.
+    P(t) = M(t) e^{-tB} can be verified sample by sample.  M(T) is the
+    last sample on [0, T]; the samples stay stacks of adjoints.
     """
     _require_periodic(spec, params)
     T = spec.period
-    grid = np.linspace(0.0, T, P_SAMPLE_COUNT).tolist()
+    grid = np.linspace(0.0, T, P_SAMPLE_COUNT)
     traj = integrate(spec, 0.0, 2.0 * T, QMatrix.identity(spec.n), cfg,
                      params=params)
-    mono = traj.matrix_at(T)
+    # M(t) and P(t) = M(t) e^{-tB} at t and t + T for t on the grid, as
+    # stacks of adjoints, with e^{-(t+T)B} = e^{-tB} e^{-TB}
+    states = traj.adjoints_at(np.concatenate([grid, grid + T]))
+    mono = from_adjoint(states[P_SAMPLE_COUNT - 1], project=False)
     multipliers = characteristic_multipliers(mono)
     B = logm(mono, multipliers) * (1.0 / T)
     exponents = characteristic_exponents(multipliers, T)
-
-    # M(t) and P(t) = M(t) e^{-tB} at t and t + T for t on the grid, as
-    # stacks of adjoints, with e^{-(t+T)B} = e^{-tB} e^{-TB}
-    decay = expm_adjoint(-np.array(grid)[:, None, None] * adjoint(B))
-    states = traj.adjoints_at(grid + [t + T for t in grid])
+    decay = expm_adjoint(-grid[:, None, None] * adjoint(B))
     P = states @ np.concatenate([decay, decay @ decay[-1]])
     max_p = float(sum_norms(P).max())
     residual = float(sum_norms(P[:len(grid)] - P[len(grid):]).max())
@@ -239,10 +243,9 @@ def normal_form(spec, cfg=None, params=None):
         raise PeriodicityViolation(
             f"P(t) periodicity residual {residual:.3e} exceeds "
             f"{P_PERIODICITY_TOL:.1e} * {max_p:.3e}")
-    samples = [(t, from_adjoint(chi, project=False))
-               for t, chi in zip(grid, P)]
-    return FloquetData(T, mono, B, multipliers, exponents, samples, states,
-                       residual, traj, trace_integral(spec, 0.0, T, params))
+    return FloquetData(T, mono, B, multipliers, exponents, grid,
+                       P[:len(grid)], states, residual, traj,
+                       trace_integral(spec, 0.0, T, params))
 
 
 def periodic_solutions(fd, tol=EIG_CLUSTER_TOL):
@@ -271,11 +274,9 @@ def periodic_solutions(fd, tol=EIG_CLUSTER_TOL):
     return witnesses
 
 
-def multiplier_product_check(fd, spec, params=None):
-    """Relative residual of prod |rho_j| against exp(integral of Re tr A).
-
-    The integral is the one `normal_form` computed for fd from `spec` and
-    `params`."""
+def multiplier_product_check(fd):
+    """Relative residual of prod |rho_j| against exp(integral of Re tr A),
+    with the integral `normal_form` computed for fd."""
     expected = math.exp(fd.trace_integral)
     product = 1.0
     for rho in fd.multipliers.expanded():
@@ -283,7 +284,7 @@ def multiplier_product_check(fd, spec, params=None):
     return abs(product - expected) / expected
 
 
-def exponent_sum_residual(fd, spec, params=None):
+def exponent_sum_residual(fd):
     """|Re(sum of exponents) - (1/T) integral Re tr A|, the companion identity
     to the multiplier product formula, with the integral carried on fd."""
     re_sum = 0.0

@@ -10,8 +10,9 @@ real-coefficient specialization reproduces the classical trace
 classification.  `analyze_chart` analyzes the points of a parameter grid (a
 stability chart) with one set-up: one compiled companion system and one
 periodicity check for every point.  It and `analyze_batch` integrate the
-points as one batch, and report them all from array operations on the stack
-of their monodromy adjoints; `analyze` is the report of a batch of one.
+points as one batch, M(T) alone through `integrate_batch`, and report them
+all from array operations on the stack of their monodromy adjoints;
+`analyze` and `classify_real` integrate a batch of one the same way.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .expressions import MatrixSpec, Neg, Num, compile_expr, grid_max
 from .floquet import (COEFF_PERIODICITY_TOL, STAB_TOL, Evidence, Stability,
                       StabilityVerdict, characteristic_multipliers,
                       classify_multipliers)
-from .integrate import integrate, integrate_batch
+from .integrate import batch_params, integrate_batch
 from .qmatrix import QMatrix, adjoint, adjoints
 from .quaternion import hypot
 
@@ -177,17 +178,11 @@ def k_matrix_diagnostics(M_T):
     return k1, k2, residual
 
 
-def _monodromy(problem, cfg):
-    # HillProblem has already checked the period of a(t)
-    return integrate(companion(problem), 0.0, problem.period,
-                     QMatrix.identity(2), cfg, params=problem.params).final
-
-
 def analyze(problem, cfg=None):
     """Integrate the companion system over one period and report all three
-    verdict channels: the report of a batch of one, so `analyze` and
-    `analyze_batch` share one implementation."""
-    (report,) = _reports([_monodromy(problem, cfg)])
+    verdict channels: the report of a batch of one, through the path of
+    `analyze_batch`, with the problem's scalar parameters."""
+    (report,) = _analyze_members(companion(problem), problem.params, cfg)
     if isinstance(report, Exception):
         raise report
     return report
@@ -213,27 +208,23 @@ def analyze_batch(problems, cfg=None):
                          "parameter names")
     params = {name: [p.params[name] for p in problems]
               for name in first.params or {}}
-    return _analyze_members(companion(first), params, cfg)
+    outcomes = _analyze_members(companion(first), params, cfg)
+    # problems without parameters are one system, analyzed once
+    return outcomes if params else outcomes * len(problems)
 
 
 def analyze_chart(a, period, params, cfg=None):
     """`analyze_batch` for the points of a stability chart, set up once.
 
-    `params` maps each parameter name of a(t) to a sequence holding one
-    value per point.  The companion system is compiled once, and one
+    `params` maps each parameter name of a(t) to one value per point (see
+    `integrate.batch_params`).  The companion system is compiled once, and one
     periodicity check covers every point; a point that fails it, or every
     point when the batched check raises, is checked again alone.  Returns
     one entry per point: its HillReport, or the exception that ended it,
     the one building its HillProblem would raise included.  An entry is the
     same, bit for bit, in a chart of any size.
     """
-    params = {name: np.asarray(values, dtype=float)
-              for name, values in params.items()}
-    sizes = {values.shape for values in params.values()}
-    if len(sizes) != 1 or len(next(iter(sizes))) != 1:
-        raise ValueError("a chart binds each parameter to a sequence, all "
-                         "of one length")
-    ((size,),) = sizes
+    params, size = batch_params(params)
     try:
         spec = _companion(a, period)
     except ValueError as exc:
@@ -245,7 +236,8 @@ def analyze_chart(a, period, params, cfg=None):
                 name: values[None] for name, values in params.items()})
         except Exception:  # each point's own check decides
             worst = np.full(size, np.nan)
-        suspects = np.flatnonzero(~(worst <= COEFF_PERIODICITY_TOL)).tolist()
+        suspects = np.flatnonzero(
+            np.logical_not(worst <= COEFF_PERIODICITY_TOL)).tolist()
         for k in suspects:
             try:
                 _check_coefficient(spec, {name: values[k]
@@ -261,8 +253,8 @@ def analyze_chart(a, period, params, cfg=None):
 
 
 def _analyze_members(spec, params, cfg):
-    """One entry per member of params' sequences: its HillReport, or the
-    exception that ended its integration or its report."""
+    """One entry per member of the batch params bind: its HillReport, or
+    the exception that ended its integration or its report."""
     outcomes = integrate_batch(spec, 0.0, spec.period, QMatrix.identity(2),
                                params, cfg)
     integrated = [k for k, outcome in enumerate(outcomes)
@@ -324,6 +316,9 @@ def classify_real(problem, cfg=None):
     if not worst <= REAL_COEFF_TOL:
         raise NotRealCoefficient(
             f"coefficient has vector part up to {worst:.3e}")
-    M_T = _monodromy(problem, cfg)
+    (M_T,) = integrate_batch(companion(problem), 0.0, problem.period,
+                             QMatrix.identity(2), problem.params, cfg)
+    if isinstance(M_T, Exception):
+        raise M_T
     return _trace_band_verdict(M_T.re_trace(), M_T, Stability.UNSTABLE,
                                Stability.STABLE, "tr M(T)")

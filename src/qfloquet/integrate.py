@@ -5,9 +5,11 @@ order theory carries over to quaternion-valued states unchanged.  One core
 steps a (B, 2n, 2n) stack of complex adjoints (see `qmatrix.adjoint`): A is
 evaluated at all stage times of a window of steps in one array call
 (`MatrixSpec.adjoint`) and each stage is one batched matrix product.
-`integrate` runs it on one system and returns a Trajectory;
-`integrate_batch` runs it on members that share A(t) but bind its
-parameters to arrays of different values.  Nothing in qfloquet needs SciPy.
+`integrate` runs it on one system and returns a Trajectory: the accepted
+states as one stack of adjoints, and M(t) between them.  `integrate_batch`
+returns M(t1) alone, for members that share A(t) but bind its parameters to
+different values; scalar values, or none, make a batch of one.  Nothing in
+qfloquet needs SciPy.
 
 The default method is DOP853, Dormand and Prince's adaptive 8th-order
 pair with its 7th-order continuous extension (Hairer, Norsett & Wanner,
@@ -53,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmatrix import adjoint, from_adjoint, qdet, sum_norms
+from .qmatrix import adjoint, from_adjoint, sum_norms
 
 
 # trace quadrature: accuracy target relative to max(1, integral of |Re tr A|),
@@ -124,22 +126,23 @@ class StepCounts(NamedTuple):
 class Trajectory:
     """Accepted steps t_0 < ... < t_m, M at each, and M(t) in between.
 
-    `extension[s]` holds the adjoint of M(t_s) and the coefficients F_0,
-    F_1, ... of step s's continuous extension: with x = (t - t_s) / (t_{s+1}
-    - t_s), M(t) = M(t_s) + x (F_0 + (1 - x) (F_1 + x (F_2 + (1 - x) (F_3 +
-    ...)))).  F_0, F_1 and F_2 alone make the cubic Hermite interpolant.
-    `counts` is the integration's StepCounts.
+    `adjoints[s]` is the adjoint of M(t_s), a (m + 1, 2n, 2n) stack, and
+    `extension[s]` holds the coefficients F_0, F_1, ... of step s's
+    continuous extension: with x = (t - t_s) / (t_{s+1} - t_s), M(t) =
+    M(t_s) + x (F_0 + (1 - x) (F_1 + x (F_2 + (1 - x) (F_3 + ...)))).  F_0,
+    F_1 and F_2 alone make the cubic Hermite interpolant.  `counts` is the
+    integration's StepCounts.
     """
 
-    def __init__(self, times, states, extension, counts):
+    def __init__(self, times, adjoints, extension, counts):
         self.times = np.asarray(times)
-        self.states = list(states)
+        self.adjoints = adjoints
         self.extension = extension
         self.counts = counts
 
     @property
     def final(self):
-        return self.states[-1]
+        return from_adjoint(self.adjoints[-1], project=False)
 
     def matrix_at(self, t):
         """M(t) for t in [t_0, t_m], from the continuous extension."""
@@ -158,11 +161,11 @@ class Trajectory:
                        len(self.extension) - 1)
         x = ((times - self.times[step])
              / (self.times[step + 1] - self.times[step]))[:, None, None]
-        start, *F = np.moveaxis(self.extension[step], 1, 0)
+        F = np.moveaxis(self.extension[step], 1, 0)
         value = 0.0
         for index in reversed(range(len(F))):
             value = (value + F[index]) * (x if index % 2 == 0 else 1.0 - x)
-        return start + value
+        return self.adjoints[step] + value
 
 
 class _Method(NamedTuple):
@@ -297,28 +300,36 @@ def integrate(spec, t0, t1, M0, cfg=None, params=None):
     if isinstance(outcome, Exception):
         raise outcome
     times, ys, extension = (np.concatenate(part) for part in zip(*steps[0]))
-    states = [from_adjoint(y, project=False) for y in ys]
-    return Trajectory(np.concatenate(([t0], times)), [M0] + states, extension,
+    return Trajectory(np.concatenate(([t0], times)),
+                      np.concatenate((adjoint(M0)[None], ys)), extension,
                       StepCounts(len(times), int(trials), calls))
+
+
+def batch_params(params):
+    """Each parameter's values as a 1-d float array, and the number of
+    members they bind: a scalar value, or no parameters, binds one."""
+    params = {name: np.array(values, dtype=float, ndmin=1)
+              for name, values in (params or {}).items()}
+    sizes = {values.shape for values in params.values()} or {(1,)}
+    if len(sizes) != 1 or len(next(iter(sizes))) != 1:
+        raise ValueError("a batch binds each parameter to a scalar or a 1-d "
+                         "array, all of one length")
+    ((size,),) = sizes
+    return params, size
 
 
 def integrate_batch(spec, t0, t1, M0, params, cfg=None):
     """M(t1) of M' = A(t) M, M(t0) = M0, for each member of a batch.
 
-    `params` maps each parameter name (at least one) to a sequence holding
-    one value per member.  Returns one entry per member: its M(t1) as a
-    QMatrix, or the ArithmeticError that ended its integration.  A member's
-    entry is the same, bit for bit, in a batch of any size.
+    `params` maps each parameter name to one value per member (see
+    `batch_params`); scalar values, or none, make a batch of one.  Returns
+    one entry per member: its M(t1) as a QMatrix, or the ArithmeticError
+    that ended its integration.  A member's entry is the same, bit for bit,
+    in a batch of any size, and as the `final` of `integrate`.
     """
     cfg = cfg or IntegratorConfig()
     _check_shapes(spec, t0, t1, M0)
-    params = {name: np.asarray(values, dtype=float)
-              for name, values in params.items()}
-    sizes = {values.shape for values in params.values()}
-    if len(sizes) != 1 or len(next(iter(sizes))) != 1:
-        raise ValueError("a batch binds each parameter to a 1-d array, "
-                         "all of one length")
-    (size,) = sizes.pop()
+    params, size = batch_params(params)
 
     def coefficients(members, t):
         return spec.adjoint(t, {name: values[members]
@@ -396,7 +407,7 @@ def _window(method, coefficients, cfg, dense, t1, members, t, h, n, y):
         k0 = K[0] @ ys[:-1]
         delta = ys[1:] - ys[:-1]
         extension = np.concatenate((
-            [ys[:-1], delta, k0 - delta, 2.0 * delta - k0 - hf],
+            [delta, k0 - delta, 2.0 * delta - k0 - hf],
             products[len(method.err):]))
     return ys, sizes, err, hf, extension
 
@@ -595,11 +606,11 @@ def liouville_residual(traj, spec, params=None):
     """Largest deviation of qdet(M(t)) from the volume-growth law
     expected(t) = exp(2 * integral(Re tr A)) * qdet(M(t0)) over the
     trajectory samples, each normalized by max(1, expected(t))."""
-    det0 = qdet(traj.states[0])
+    det0, *dets = np.linalg.det(traj.adjoints).real.tolist()
     integral = 0.0
     worst = 0.0
-    for ta, tb, state in zip(traj.times, traj.times[1:], traj.states[1:]):
+    for ta, tb, det in zip(traj.times, traj.times[1:], dets):
         integral += trace_integral(spec, float(ta), float(tb), params)
         expected = math.exp(2.0 * integral) * det0
-        worst = max(worst, abs(qdet(state) - expected) / max(1.0, expected))
+        worst = max(worst, abs(det - expected) / max(1.0, expected))
     return worst

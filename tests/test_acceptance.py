@@ -226,12 +226,9 @@ def test_criterion_7(periodic_growing_spec, periodic_defective_spec,
         assert liouville_residual(traj, spec) <= 1e-7, name
 
     # multiplier product formula and P(t) periodicity on the four systems
-    for fd, spec in [(fd_growing, periodic_growing_spec),
-                     (fd_defective, periodic_defective_spec),
-                     (fd_marginal, periodic_marginal_spec),
-                     (fd_decaying, periodic_decaying_spec)]:
-        assert multiplier_product_check(fd, spec) <= 1e-7
-        assert exponent_sum_residual(fd, spec) <= 1e-8
+    for fd in (fd_growing, fd_defective, fd_marginal, fd_decaying):
+        assert multiplier_product_check(fd) <= 1e-7
+        assert exponent_sum_residual(fd) <= 1e-8
         assert fd.periodicity_residual <= 1e-6
 
     # 20 random periodic systems: product formula and the independence of
@@ -239,7 +236,7 @@ def test_criterion_7(periodic_growing_spec, periodic_defective_spec,
     for _ in range(20):
         spec = _random_periodic_spec(rng)
         fd = normal_form(spec)
-        assert multiplier_product_check(fd, spec) <= 1e-7
+        assert multiplier_product_check(fd) <= 1e-7
         R = QMatrix(rng.uniform(-1, 1, (2, 2, 4))) + QMatrix.identity(2) * 2.0
         traj = integrate(spec, 0.0, math.pi, R)
         alternate = standard_eigenvalues(inv(R) @ traj.final)

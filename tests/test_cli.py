@@ -92,7 +92,7 @@ def test_periodic_samples_are_those_of_the_trajectory(capsys, fd_growing):
     traj, T = fd_growing.trajectory, fd_growing.period
     assert results["norm_samples"] == sum_norms(traj.adjoints_at(
         [0.0, 0.5 * T, T, 1.5 * T, 2.0 * T])).tolist()
-    grid = [t for t, _ in fd_growing.P_samples]
+    grid = fd_growing.sample_times.tolist()
     assert results["trajectory_samples"] == [
         [t] + state.ravel().tolist()
         for t, state in zip(grid, quaternion_data(traj.adjoints_at(grid)))]
@@ -133,6 +133,38 @@ def test_periodic_trajectory_csv(capsys):
     assert len(lines) >= 10
     times = [float(row.split(",")[0]) for row in lines[1:]]
     assert times == sorted(times)
+
+
+def test_hill_csv_is_the_header_and_one_row(capsys):
+    args = ["hill", "--period", "pi", "--a", HILL_COEFF, "--format"]
+    assert run_cli(args + ["json"]) == 0
+    monodromy = json.loads(capsys.readouterr().out)["results"]["monodromy"]
+    assert run_cli(args + ["csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split(",") == ["t"] + [
+        f"M{i}{j}_{w}" for i in (1, 2) for j in (1, 2)
+        for w in ("q0", "q1", "q2", "q3")]
+    assert row.split(",") == [repr(math.pi)] + [
+        repr(v) for mrow in monodromy for entry in mrow for v in entry]
+
+
+def test_sweep_text_is_a_table_of_the_rows(capsys):
+    grid = [-1.0, 0.5, 2.0]
+    args = ["sweep", "--period", "pi", "--a", "p + j*cos(2*t)",
+            "--p-grid=" + ",".join(map(repr, grid)), "--format"]
+    assert run_cli(args + ["json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+    assert run_cli(args + ["text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # a rule, the header, a rule, one line per grid point, a rule
+    assert len(lines) == 4 + len(grid)
+    cells = [[cell.strip() for cell in line.strip("|").split("|")]
+             for line in lines[1:2] + lines[3:-1]]
+    assert cells[0] == list(cli.SWEEP_COLUMNS)
+    assert [row[0] for row in cells[1:]] == [repr(p) for p in grid]
+    assert [row[1:] for row in cells[1:]] == [
+        [repr(row[c]) if isinstance(row[c], float) else row[c]
+         for c in cli.SWEEP_COLUMNS[1:]] for row in rows]
 
 
 def test_sweep_rows_satisfy_volume_constraint(capsys):
@@ -433,6 +465,23 @@ def test_replay_reproduces_report(tmp_path, capsys):
     replayed = json.loads(capsys.readouterr().out)
     original = json.loads(report_path.read_text())
     assert replayed["results"]["re_trace"] == original["results"]["re_trace"]
+
+
+@pytest.mark.parametrize("change, code, err", [
+    (1e-9, 3, "replay mismatch: results differ beyond 1e-12\n"),
+    (1e-13, 0, "")], ids=["beyond", "within"])
+def test_replay_of_a_changed_report(tmp_path, capsys, change, code, err):
+    # a result moved beyond the replay tolerance fails with exit 3 alone
+    report_path = tmp_path / "report.json"
+    assert run_cli(["hill", "--period", "pi", "--a", HILL_COEFF,
+                    "--format", "json", "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    report["results"]["re_trace"] *= 1.0 + change
+    report_path.write_text(json.dumps(report))
+    assert run_cli(["--replay", str(report_path)]) == code
+    out, stderr = capsys.readouterr()
+    assert stderr == err
+    assert (out == "") == (code == 3)
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")

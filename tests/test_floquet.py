@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from qfloquet.expressions import MatrixSpec
-from qfloquet.floquet import (NotPeriodic, Stability, ZeroMultiplier,
+from qfloquet.floquet import (P_SAMPLE_COUNT, NotPeriodic, Stability,
+                              ZeroMultiplier,
                               characteristic_exponents, classify_constant,
                               classify_periodic, exponent_sum_residual,
                               monodromy, normal_form, periodic_solutions,
                               multiplier_product_check)
 from qfloquet.integrate import IntegratorConfig, integrate
 from qfloquet.qmatrix import (QMatrix, StandardSpectrum, SpectrumEntry, inv,
-                              expm, standard_eigenvalues)
+                              expm, from_adjoint, standard_eigenvalues)
 from qfloquet.quaternion import K, Quaternion, qexp, standardize
 
 from conftest import (CONST_DECAYING_2X2, CONST_DEFECTIVE_3X3,
@@ -142,8 +143,9 @@ def test_zero_multiplier_rejected():
 def test_normal_form_constant_system():
     spec = MatrixSpec.from_qmatrix(CONST_DECAYING_2X2, period=1.0)
     fd = normal_form(spec)
-    for t, P in fd.P_samples:
-        assert (P - QMatrix.identity(2)).max_abs() < 1e-7
+    for P in fd.P_samples:
+        assert (from_adjoint(P, project=False)
+                - QMatrix.identity(2)).max_abs() < 1e-7
     match_values(standard_eigenvalues(fd.B).expanded(),
                  standard_eigenvalues(CONST_DECAYING_2X2).expanded(), 1e-7)
 
@@ -151,12 +153,28 @@ def test_normal_form_constant_system():
 def test_normal_form_growing(fd_growing):
     match_values(standard_eigenvalues(fd_growing.B).expanded(),
                  [complex(1, 0), 1j], 1e-8)
-    t0, P0 = fd_growing.P_samples[0]
-    assert t0 == 0.0
+    assert fd_growing.sample_times[0] == 0.0
+    P0 = from_adjoint(fd_growing.P_samples[0], project=False)
     assert (P0 - QMatrix.identity(2)).max_abs() < 1e-9
-    for _, P in fd_growing.P_samples:
-        assert P.max_abs() < 3.0
+    for P in fd_growing.P_samples:
+        assert from_adjoint(P, project=False).max_abs() < 3.0
     assert fd_growing.periodicity_residual <= 1e-6 * 4.0
+
+
+def test_normal_form_samples_are_adjoint_stacks(fd_growing,
+                                               periodic_growing_spec):
+    # M(T) is the last sample on [0, T]; the samples hold no QMatrix
+    fd = fd_growing
+    assert fd.sample_times.tolist() == np.linspace(
+        0.0, fd.period, P_SAMPLE_COUNT).tolist()
+    assert fd.P_samples.shape == (P_SAMPLE_COUNT, 4, 4)
+    assert fd.M_samples.shape == (2 * P_SAMPLE_COUNT, 4, 4)
+    last = from_adjoint(fd.M_samples[P_SAMPLE_COUNT - 1], project=False)
+    assert np.array_equal(fd.monodromy.top, last.top)
+    # `monodromy` integrates [0, T] alone, as a batch of one
+    alone = integrate(periodic_growing_spec, 0.0, fd.period,
+                      QMatrix.identity(2)).final
+    assert np.array_equal(monodromy(periodic_growing_spec).top, alone.top)
 
 
 def test_normal_form_marginal(fd_marginal):
@@ -166,7 +184,9 @@ def test_normal_form_marginal(fd_marginal):
 
 def test_normal_form_reconstructs_fundamental_matrix(fd_growing):
     # M(t) = P(t) e^{tB} at every stored sample
-    for t, P in fd_growing.P_samples:
+    for t, chi in zip(fd_growing.sample_times.tolist(),
+                      fd_growing.P_samples):
+        P = from_adjoint(chi, project=False)
         M_t = fd_growing.trajectory.matrix_at(t)
         assert (P @ expm(fd_growing.B * t) - M_t).sum_norm() < 1e-7 * max(
             1.0, M_t.sum_norm())
@@ -240,14 +260,14 @@ def test_no_witnesses_for_contracting_system(fd_decaying):
 # -- product formula ------------------------------------------------------------------
 
 
-def test_product_formula_growing(fd_growing, periodic_growing_spec):
+def test_product_formula_growing(fd_growing):
     # Re tr A = 1, so prod |rho| must equal e^pi
     product = 1.0
     for rho in fd_growing.multipliers.expanded():
         product *= abs(rho)
     assert product == pytest.approx(math.exp(math.pi), rel=1e-7)
-    assert multiplier_product_check(fd_growing, periodic_growing_spec) <= 1e-7
-    assert exponent_sum_residual(fd_growing, periodic_growing_spec) <= 1e-8
+    assert multiplier_product_check(fd_growing) <= 1e-7
+    assert exponent_sum_residual(fd_growing) <= 1e-8
 
 
 def test_normal_form_solves_each_spectrum_once(monkeypatch,
@@ -269,8 +289,8 @@ def test_normal_form_solves_each_spectrum_once(monkeypatch,
                         counted("trace", floquet.trace_integral))
     fd = normal_form(periodic_growing_spec)
     assert calls == {"eig": 1, "trace": 1}
-    multiplier_product_check(fd, periodic_growing_spec)
-    exponent_sum_residual(fd, periodic_growing_spec)
+    multiplier_product_check(fd)
+    exponent_sum_residual(fd)
     assert calls == {"eig": 1, "trace": 1}
     assert fd.trace_integral == pytest.approx(math.pi, rel=1e-12)
 
@@ -330,7 +350,7 @@ def test_product_formula_random_diagonal_systems():
         fd = normal_form(spec)
         expected = [standardize(v) for v in closed_form]
         match_values(fd.multipliers.expanded(), expected, 1e-7)
-        assert multiplier_product_check(fd, spec) <= 1e-8
+        assert multiplier_product_check(fd) <= 1e-8
 
 
 # -- spectral consistency ---------------------------------------------------------------

@@ -177,7 +177,7 @@ def test_volume_product_through_floquet_machinery(hill_trace_inconclusive):
     from qfloquet.floquet import multiplier_product_check, normal_form
     spec = companion(hill_trace_inconclusive)
     fd = normal_form(spec)
-    assert multiplier_product_check(fd, spec) <= 1e-7
+    assert multiplier_product_check(fd) <= 1e-7
 
 
 def test_k_matrix_residual_is_reported(hill_report_inconclusive):
@@ -345,6 +345,13 @@ def test_chart_points_fail_alone():
     assert analyze_chart(node, math.pi, {"p": []}) == []
     with pytest.raises(ValueError):
         analyze_chart(node, math.pi, {"p": [1.0], "q": [1.0, 2.0]})
+
+
+def test_batch_without_parameters_reports_each_problem():
+    problem = HillProblem(parse("1 + j*cos(2*t)"), math.pi)
+    key = _outcome_key(analyze(problem))
+    assert [_outcome_key(outcome)
+            for outcome in analyze_batch([problem, problem])] == [key, key]
 
 
 def test_batch_requires_a_shared_coefficient():

@@ -9,7 +9,8 @@ from qfloquet.integrate import (IntegratorConfig, NonFiniteState,
                                 QuadratureFailure, StepBudgetExceeded,
                                 StepUnderflow, integrate, integrate_batch,
                                 liouville_residual, trace_integral)
-from qfloquet.qmatrix import QMatrix, allclose, expm, qdet
+from qfloquet.qmatrix import (QMatrix, adjoint, allclose, expm, from_adjoint,
+                              qdet)
 from qfloquet.quaternion import DivisionByZero, J, K, Quaternion
 
 from conftest import CONST_DECAYING_2X2
@@ -34,12 +35,17 @@ def known_monodromy():
          [0, Quaternion(-1)]])
 
 
+def qdets(traj):
+    """qdet(M(t_s)) at each accepted step, from the trajectory's stack."""
+    return [qdet(from_adjoint(chi, project=False)) for chi in traj.adjoints]
+
+
 def test_zero_field_is_constant():
     spec = MatrixSpec.from_strings([["0", "0"], ["0", "0"]])
     M0 = QMatrix.from_entries([[1, J], [K, 2]])
     traj = integrate(spec, 0.0, 3.0, M0)
     assert allclose(traj.final, M0, 0.0)
-    assert traj.states[0] is M0
+    assert np.array_equal(traj.adjoints[0], adjoint(M0))
     assert liouville_residual(traj, spec) == 0.0
 
 
@@ -61,7 +67,7 @@ def test_liouville_zero_trace_system():
         [["0", "1"], ["-(2 + j*cos(2*t)^2 + k*sin(2*t))", "0"]],
         period=math.pi)
     traj = integrate(spec, 0.0, math.pi, QMatrix.identity(2))
-    assert max(abs(qdet(M) - 1.0) for M in traj.states) <= 1e-8
+    assert max(abs(det - 1.0) for det in qdets(traj)) <= 1e-8
     assert liouville_residual(traj, spec) <= 1e-8
 
 
@@ -113,7 +119,7 @@ def test_liouville_on_normal_form_trajectories(name, request):
     # the growing system, so the bound scales with the largest qdet
     spec = request.getfixturevalue(f"periodic_{name}_spec")
     traj = request.getfixturevalue(f"fd_{name}").trajectory
-    largest = max(qdet(M) for M in traj.states)
+    largest = max(qdets(traj))
     assert liouville_residual(traj, spec) <= 1e-7 * max(1.0, largest)
 
 
@@ -201,7 +207,7 @@ def test_semigroup_consistency():
 def test_qdet_positive_along_flow():
     spec = growing_periodic_spec()
     traj = integrate(spec, 0.0, math.pi, QMatrix.identity(2))
-    assert all(qdet(M) > 0 for M in traj.states)
+    assert all(det > 0 for det in qdets(traj))
 
 
 def test_continuous_extension_matches_integrations_to_each_time():
@@ -214,6 +220,28 @@ def test_continuous_extension_matches_integrations_to_each_time():
         direct = integrate(spec, 0.0, float(t), QMatrix.identity(2)).final
         assert ((traj.matrix_at(float(t)) - direct).sum_norm()
                 <= 1e-9 * max(1.0, direct.sum_norm()))
+
+
+def test_trajectory_states_are_one_stack_the_extension_starts_from():
+    # x = 0 leaves each step's start state, bit for bit
+    traj = integrate(growing_periodic_spec(), 0.0, 2 * math.pi,
+                     QMatrix.identity(2))
+    assert traj.adjoints.shape == (len(traj.times), 4, 4)
+    assert np.array_equal(traj.adjoints_at(traj.times[:-1]),
+                          traj.adjoints[:-1])
+    assert np.array_equal(traj.final.top, traj.adjoints[-1, :2])
+
+
+@pytest.mark.parametrize("params", [{}, {"p": 1.1}, {"p": [1.1]}])
+def test_scalar_or_no_parameters_make_a_batch_of_one(params):
+    a = "-(p + 0.7*j*cos(2*t))" if params else "-(1 + 0.7*j*cos(2*t))"
+    spec = MatrixSpec.from_strings([["0", "1"], [a, "0"]], math.pi,
+                                   ("t", "p"))
+    (batch,) = integrate_batch(spec, 0.0, math.pi, QMatrix.identity(2),
+                               params)
+    alone = integrate(spec, 0.0, math.pi, QMatrix.identity(2),
+                      params={"p": 1.1} if params else None)
+    assert np.array_equal(batch.top, alone.final.top)
 
 
 def test_dense_output_interpolation():
