@@ -450,6 +450,25 @@ def _csv_field(value):
 # -- replay ---------------------------------------------------------------------
 
 
+def _json_report(config, results):
+    """The JSON report of a run, in strict JSON.  A sweep grid may hold nan
+    or an infinity, which JSON has no number for: the config names such a
+    point ("nan", "inf", "-inf"; float() reads it back on replay), and the
+    results hold null for it, in the grid and in its row's "p"."""
+    mode = config["mode"]
+    if mode == "sweep" and not all(map(math.isfinite, results["grid"])):
+        sweep = config["sweep"]
+        config = {**config, "sweep": {**sweep, "grid": [
+            v if math.isfinite(float(v)) else repr(float(v))
+            for v in sweep["grid"]]}}
+        results = {**results,
+                   "grid": [p if math.isfinite(p) else None
+                            for p in results["grid"]],
+                   "rows": [{**row, "p": row["p"] if math.isfinite(row["p"])
+                             else None} for row in results["rows"]]}
+    return {"mode": mode, "config": config, "results": results}
+
+
 def _numeric_match(a, b, tol=1e-12):
     if isinstance(a, dict) and isinstance(b, dict):
         return (a.keys() == b.keys()
@@ -531,12 +550,11 @@ def main(argv=None):
         if args.replay:
             with open(args.replay) as handle:
                 previous = json.load(handle)
-            config = previous["config"]
-            results = run_mode(config)
-            if not _numeric_match(previous["results"], results):
+            report = _json_report(previous["config"],
+                                  run_mode(previous["config"]))
+            if not _numeric_match(previous["results"], report["results"]):
                 sys.stderr.write("replay mismatch: results differ beyond 1e-12\n")
                 return 3
-            report = {"mode": config["mode"], "config": config, "results": results}
             _emit(json.dumps(report), args.out)
             return 0
         config = _config_from_args(args)
@@ -552,8 +570,7 @@ def main(argv=None):
     path = config.get("output", {}).get("path")
     mode = config["mode"]
     if fmt == "json":
-        report = {"mode": mode, "config": config, "results": results}
-        _emit(json.dumps(report), path)
+        _emit(json.dumps(_json_report(config, results)), path)
     elif fmt == "csv":
         _emit(_render_csv(mode, results), path)
     else:

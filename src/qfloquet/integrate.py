@@ -35,8 +35,11 @@ the initial guess, and up to WINDOW steps from then on, which usually
 reach t1; every step of a window counts against MAX_STEPS, accepted or
 not.  A window that reaches t1 is shortened to equal steps that end
 exactly there: a Trajectory evaluates M(t) at any other time from the
-continuous extension of the accepted step around it, whose 3 extra stages
-and the product with K_0 `integrate_batch` never computes.
+continuous extension of the accepted step around it.  A is evaluated by
+the windows alone, with no separate pass at t0.  `integrate_batch`
+evaluates and multiplies only the method's own stages, 12 per DOP853 step
+and 4 per RK4 step; `integrate` adds the stage f(t + h, y_new) and, for
+DOP853, the extension's 3 further stages: 16 and 5 per step.
 
 The integral of Re tr A behind Liouville's identity is a scalar quadrature:
 adaptive Gauss-Legendre on the compiled diagonal entries of the
@@ -324,8 +327,10 @@ def integrate_batch(spec, t0, t1, M0, params, cfg=None):
     `params` maps each parameter name to one value per member (see
     `batch_params`); scalar values, or none, make a batch of one.  Returns
     one entry per member: its M(t1) as a QMatrix, or the ArithmeticError
-    that ended its integration.  A member's entry is the same, bit for bit,
-    in a batch of any size, and as the `final` of `integrate`.
+    that ended its integration.  Each step computes the method's own stages
+    alone (see `_window`).  A member's entry is the same, bit for bit, in a
+    batch of any size, and as the `final` of `integrate`, which alone also
+    checks that h M' stays finite at each step's end.
     """
     cfg = cfg or IntegratorConfig()
     _check_shapes(spec, t0, t1, M0)
@@ -358,18 +363,23 @@ def _window(method, coefficients, cfg, dense, t1, members, t, h, n, y):
 
     Each stage's h M' is K_s y for the propagator K_s = h A_s (I + sum_j
     a_sj K_j), and y_{w+1} = R_w y_w.  The step axis has length W = max(n);
-    a member with fewer steps repeats its last one there, unused.  Returns
-    the states y_0 .. y_W and their sum norms, each step's local error
-    relative to the tolerance (None for a fixed step), h M' at each step's
-    end and, with `dense`, each step's continuous extension as a Trajectory
-    stores it (steps on the second axis, members on the third).  Every
-    operation is elementwise or one product per matrix, so a member's
-    results do not depend on the rest of the batch.
+    a member with fewer steps repeats its last one there, unused.  Without
+    `dense`, only the method's own stages are evaluated, DOP853's 12 or
+    RK4's 4: the stage f(t + h, y_new) after them, and the stages after
+    that, serve the continuous extension alone, and no error weight reads
+    them.  Returns the states y_0 .. y_W; whether each member's state and
+    stage 0, h A(t), are finite at the window's start; each step's local
+    error relative to the tolerance (None for a fixed step); whether each
+    step's end state, and with `dense` h M' there, is finite; and, with
+    `dense`, each step's continuous extension as a Trajectory stores it
+    (steps on the second axis, members on the third).  Every operation is
+    elementwise or one product per matrix, so a member's results do not
+    depend on the rest of the batch.
     """
     last = method.last
     width = n.max()
     w = np.minimum(np.arange(width)[:, None], n - 1)
-    fractions = method.c if dense else method.c[:last + 1]
+    fractions = method.c if dense else method.c[:last]
     # h A at every stage time of the window, evaluated together, shaped
     # (stages, steps, members, 2n, 2n); stage by stage, K[s] = h A_s turns
     # into the propagator K_s
@@ -379,18 +389,20 @@ def _window(method, coefficients, cfg, dense, t1, members, t, h, n, y):
     # the last stage's I + sum_j b_j K_j is the step's propagator R, which
     # the states need after the loop, so it keeps its own buffer
     argument, scratch, R = (np.empty_like(K[0]) for _ in range(3))
-    for s, row in enumerate(method.a[:len(K) - 1], 1):
+    for s, row in enumerate(method.a if dense else method.a[:last], 1):
         total = _stage_sum(row, K, R if s == last else argument, scratch)
         total += eye
-        np.matmul(K[s], total, out=K[s])
+        if s < len(K):
+            np.matmul(K[s], total, out=K[s])
     ys = np.empty((width + 1,) + y.shape, dtype=complex)
     ys[0] = y
     for step in range(width):
         np.matmul(R[step], ys[step], out=ys[step + 1])
     sizes = sum_norms(ys)
-    # h M' at each step's end, and the error and extension weights, each
-    # applied to its step's start state
-    hf = K[last] @ ys[:-1]
+    start = np.isfinite(sizes[0]) & _finite(K[0, 0])
+    finite = np.isfinite(sizes[1:])
+    # the error and extension weights, each applied to its step's start
+    # state
     rows = method.err + (method.dense if dense else ())
     weighted = np.empty((len(rows),) + K.shape[1:], dtype=complex)
     for row, out in zip(rows, weighted):
@@ -404,12 +416,15 @@ def _window(method, coefficients, cfg, dense, t1, members, t, h, n, y):
         denominator = np.sqrt(e5 * e5 + 0.01 * e3 * e3)
         err = np.where(denominator == 0.0, 0.0, e5 * e5 / denominator)
     if dense:
+        # h M' at each step's start and end
         k0 = K[0] @ ys[:-1]
+        hf = K[last] @ ys[:-1]
+        finite &= _finite(hf)
         delta = ys[1:] - ys[:-1]
         extension = np.concatenate((
             [delta, k0 - delta, 2.0 * delta - k0 - hf],
             products[len(method.err):]))
-    return ys, sizes, err, hf, extension
+    return ys, start, err, finite, extension
 
 
 def _isolated(attempt, members, *rows):
@@ -440,7 +455,15 @@ def _run(coefficients, t0, t1, y0, cfg, steps=None):
     adjoint or the ArithmeticError that ended it, and the array of trial
     steps each member took.  With `steps`, a list per member, the accepted
     steps of each window are appended as arrays of their end times, states
-    and continuous extensions.
+    and continuous extensions; without, no window computes an extension.
+
+    A is evaluated by the windows alone: there is no pass at t0, whose A is
+    the first window's stage 0.  A member whose A raises leaves with that
+    error, and one whose state or stage 0 is not finite at a window's start
+    (a non-finite y0, or A(t0)) leaves as NonFiniteState at that t; the
+    rest of the batch then retries the window.  A step whose end state is
+    not finite ends its member as NonFiniteState when the step is within
+    the tolerance, and is rejected when it is not.
     """
     method = _RK4 if cfg.method == "rk4" else _DOP853
     span = t1 - t0
@@ -470,21 +493,10 @@ def _run(coefficients, t0, t1, y0, cfg, steps=None):
         return {row: NonFiniteState(f"M(t) or M'(t) is not finite at "
                                     f"t={at[row]:.6g}") for row in rows}
 
-    def derivative(members, t, y):
-        return coefficients(members, t) @ y
-
     window = functools.partial(_window, method, coefficients, cfg,
                                steps is not None, t1)
 
     with np.errstate(all="ignore"):
-        while True:     # M'(t0); members whose A(t0) fails leave, the rest retry
-            f, errors = _isolated(derivative, members, t, y)
-            if not errors:
-                break
-            retire(errors)
-        bad = ~(_finite(f) & np.isfinite(sum_norms(y)))
-        if bad.any():
-            retire(not_finite(np.flatnonzero(bad), t))
         while len(members):
             # arrival wins over a step underflow, which wins over the budget
             ended = {row: StepBudgetExceeded(f"more than {MAX_STEPS} steps, "
@@ -506,11 +518,16 @@ def _run(coefficients, t0, t1, y0, cfg, steps=None):
                            MAX_STEPS - trials).astype(int)
             arrives = n == need
             h = np.where(arrives, remaining / need, h)
+            # members whose A fails leave, and the rest retry the window;
+            # so do members that are not finite at the window's start
             result, errors = _isolated(window, members, t, h, n, y)
             if errors:
                 retire(errors)
                 continue
-            ys, sizes, err, hf, extension = result
+            ys, start, err, finite, extension = result
+            if not start.all():
+                retire(not_finite(np.flatnonzero(~start), t))
+                continue
             trials += n
             rows = np.arange(len(members))
             ahead = np.arange(len(ys) - 1)[:, None]
@@ -521,8 +538,7 @@ def _run(coefficients, t0, t1, y0, cfg, steps=None):
             # within the tolerance, ends its member as not finite
             real = ahead < n
             within = real if err is None else real & (err <= 1.0)
-            accepted = np.logical_and.accumulate(
-                within & np.isfinite(sizes[1:]) & _finite(hf)).sum(axis=0)
+            accepted = np.logical_and.accumulate(within & finite).sum(axis=0)
             after = np.minimum(accepted, len(ahead) - 1)
             failed = (accepted < n) & within[after, rows]
             if steps is not None:

@@ -494,32 +494,77 @@ class StandardSpectrum:
 
 
 def _pair_adjoint_eigenvalues(eigs, tau):
-    """Group the 2n adjoint eigenvalues into conjugate pairs; return the n
-    representatives with nonnegative imaginary part."""
-    reals = [w for w in eigs if abs(w.imag) <= tau]
-    pos = sorted((w for w in eigs if w.imag > tau), key=lambda w: (w.real, w.imag))
-    neg = [w for w in eigs if w.imag < -tau]
-    if len(pos) != len(neg):
-        raise PairingFailure(
-            f"{len(pos)} eigenvalues above the real axis vs {len(neg)} below")
-    reps = []
-    for w in pos:
-        target = w.conjugate()
-        best = min(range(len(neg)), key=lambda m: abs(neg[m] - target))
-        if abs(neg[best] - target) > tau:
-            raise PairingFailure(
-                f"no conjugate partner for {w:.6g} within {tau:.3e}")
-        reps.append(0.5 * w + 0.5 * neg.pop(best).conjugate())
-    if len(reals) % 2:
-        raise PairingFailure("odd number of real adjoint eigenvalues")
-    reals.sort(key=lambda w: w.real)
-    for m in range(0, len(reals), 2):
-        a, b = reals[m], reals[m + 1]
-        if abs(a.real - b.real) > tau:
-            raise PairingFailure(
-                f"unpaired real eigenvalues {a.real:.6g}, {b.real:.6g}")
-        reps.append(complex(0.5 * a.real + 0.5 * b.real, 0.0))
-    return reps
+    """Pair each member's 2n adjoint eigenvalues, a row of `eigs`, into
+    conjugates within the member's tolerance `tau`.  Returns the (B, n)
+    array of representatives with nonnegative imaginary part, and a dict
+    {member: PairingFailure} of the members that cannot be paired.
+
+    The upper-half values, in order of (real, imag), each take the nearest
+    lower-half value still unpaired (the first in `eigs`' order on a tie),
+    one step per pair over the whole stack; the real values pair off in
+    order of their real parts, and follow the upper-half ones.  A
+    representative is the mean of its pair, 0.5 * w + 0.5 * conj(partner),
+    which numpy's complex product forms as Python's does but for the sign
+    of a zero; no such sign reaches a spectrum (see `_standard_spectra`).
+    """
+    size, width = eigs.shape
+    n = width // 2
+    rows = np.arange(size)
+    column, pair = rows[:, None], np.arange(n)
+    re, im = eigs.real, eigs.imag
+    bound = tau[:, None]
+    upper, lower, real = im > bound, im < -bound, np.abs(im) <= bound
+    above, below = upper.sum(axis=1), lower.sum(axis=1)
+    reals = real.sum(axis=1)
+    # equal counts above and below, and n pairs in all, leave an even
+    # number of real values
+    bad = (above != below) | (above + reals // 2 != n)
+    reps = np.zeros((size, n), dtype=complex)
+    far = apart = None
+    most = above.max(initial=0)
+    if most:
+        w = eigs[column, np.lexsort((im, re, ~upper))[:, :n]]
+        gap = eigs[:, None, :] - w.conj()[:, :, None]
+        distances = np.hypot(gap.real, gap.imag)
+        # lexsort on (distance, taken) gives the first free lower-half
+        # value at the least distance, as min() does, an overflowed one too
+        taken = ~lower
+        partner = np.zeros((size, n), dtype=int)
+        for k in range(min(n, most)):
+            partner[:, k] = best = np.lexsort((distances[:, k], taken))[:, 0]
+            taken[rows, best] = True
+        far = (pair < above[:, None]) \
+            & (distances[column, pair, partner] > bound)
+        bad |= far.any(axis=1)
+        reps = 0.5 * w + 0.5 * eigs[column, partner].conj()
+    if reals.any():
+        ordered = re[column, np.lexsort((re, ~real))]
+        a, b = ordered[:, 0::2], ordered[:, 1::2]
+        apart = (pair < reals[:, None] // 2) & (np.abs(a - b) > bound)
+        bad |= apart.any(axis=1)
+        index = pair - above[:, None]
+        reps = np.where(index < 0, reps,
+                        (0.5 * a + 0.5 * b)[column, np.maximum(index, 0)])
+    failures = {}
+    for row in bad.nonzero()[0].tolist():
+        if above[row] != below[row]:
+            message = (f"{above[row]} eigenvalues above the real axis vs "
+                       f"{below[row]} below")
+        elif far is not None and far[row].any():
+            message = (f"no conjugate partner for "
+                       f"{complex(w[row, far[row].argmax()]):.6g} within "
+                       f"{tau[row]:.3e}")
+        elif reals[row] % 2:
+            message = "odd number of real adjoint eigenvalues"
+        elif apart is not None and apart[row].any():
+            k = apart[row].argmax()
+            message = (f"unpaired real eigenvalues {a[row, k]:.6g}, "
+                       f"{b[row, k]:.6g}")
+        else:
+            message = (f"paired down to {above[row] + reals[row] // 2} "
+                       f"values, expected {n}")
+        failures[row] = PairingFailure(message)
+    return reps, failures
 
 
 def _cluster(values, tol):
@@ -573,11 +618,6 @@ def _dependent_spans(reps, eigs, vecs, clusters):
     return svals[-1] <= EIG_SPLIT_DEPENDENCE
 
 
-def _nullity(chi_shifted, rank_tol):
-    svals = np.linalg.svd(chi_shifted, compute_uv=False)
-    return int((svals <= rank_tol).sum())
-
-
 def standard_eigenvalues(A, singular_tol=None):
     """Standard spectrum of a square quaternion matrix, or of each matrix in
     a stack of adjoints.
@@ -589,9 +629,10 @@ def standard_eigenvalues(A, singular_tol=None):
     single matrix is a stack of one, so a member's entry is the same, bit
     for bit, in a stack of any size.
 
-    One SVD and one eig serve the whole stack.  The 2n adjoint eigenvalues
-    are paired into conjugates, the n upper-half representatives are
-    clustered into distinct values, and geometric multiplicities are read
+    One SVD and one eigenvalue call serve the whole stack.  The 2n adjoint
+    eigenvalues are paired into conjugates, the n upper-half
+    representatives are clustered into distinct values, and geometric
+    multiplicities are read
     off the adjoint kernel dimensions (halved for real eigenvalues, whose
     kernel sees both conjugate blocks); a simple eigenvalue has gm = 1.
     The largest singular value is ||chi||_2 for the rank tests and the split
@@ -615,58 +656,105 @@ def standard_eigenvalues(A, singular_tol=None):
 def _standard_spectra(chi, singular_tol):
     """`standard_eigenvalues` of a (B, 2n, 2n) stack.  LAPACK rejects a
     non-finite matrix, so such a member is left out of the stacked calls and
-    fails alone with the LinAlgError that its own call would raise."""
+    fails alone with the LinAlgError that its own call would raise.
+
+    Pairing and clustering are array operations over the stack that loop
+    over the n representatives, not over members, and reproduce the
+    per-member Python arithmetic they replace: each distinct value is the
+    mean of its cluster, summed in index order from 0 and divided by the
+    count as Python's complex quotient does, (re + 0.0 im) / count and
+    (im - 0.0 re) / count.  That quotient turns the sign of a zero real
+    part positive, as the imaginary parts are never negative, so a zero's
+    sign in a representative never reaches a spectrum, and a member's
+    spectrum is the same, bit for bit, in a stack of any size.  Only a
+    repeated value takes a nullity SVD, and only members with n >= 3 whose
+    values lie close enough for the split rule take `_unresolved_split`
+    and their eigenvectors."""
     finite = np.isfinite(chi).all(axis=(-2, -1))
-    outcomes = [np.linalg.LinAlgError("Array must not contain infs or NaNs")
-                for _ in chi]
-    members = np.flatnonzero(finite)
-    svals = np.linalg.svd(chi[members], compute_uv=False)
-    eigs, vecs = np.linalg.eig(chi[members])
-    scales = sum_norms(chi[members]).tolist()
-    for m, member in enumerate(members):
-        try:
-            outcomes[member] = _member_spectrum(
-                chi[member], svals[m], eigs[m], vecs[m], scales[m],
-                singular_tol)
-        except (PairingFailure, Singular) as exc:
-            outcomes[member] = exc
+    outcomes = [None if ok else np.linalg.LinAlgError(
+        "Array must not contain infs or NaNs") for ok in finite.tolist()]
+    members = finite.nonzero()[0]
+    if len(members) < len(chi):
+        chi = chi[members]
+    size, n = len(chi), chi.shape[-1] // 2
+    svals = np.linalg.svd(chi, compute_uv=False)
+    # eigenvectors serve the split rule alone; LAPACK's eigenvalues are the
+    # same, bit for bit, with or without them
+    eigs = np.linalg.eigvals(chi)
+    chi_norm = svals[:, 0]
+    # np.fmax takes 1.0 over nan, as max(1.0, x) does; the arithmetic below
+    # is Python's, which is silent on values that overflow
+    tau = 1e-7 * np.fmax(1.0, sum_norms(chi))
+    with np.errstate(all="ignore"):
+        reps, failures = _pair_adjoint_eigenvalues(eigs, tau)
+        if singular_tol is not None:
+            singular = svals[:, -1] <= singular_tol * np.fmax(1.0, chi_norm)
+            for m in singular.nonzero()[0].tolist():
+                failures[m] = Singular(
+                    f"adjoint condition {chi_norm[m]:.3e}/{svals[m, -1]:.3e}"
+                    " treats the matrix as singular")
+        gap = reps[:, :, None] - reps[:, None, :]
+        distance = np.hypot(gap.real, gap.imag)
+        if n >= 3:
+            # a split needs two of a member's values farther apart than
+            # EIG_CLUSTER_TOL yet within the widest link of the split rule
+            eps = np.finfo(float).eps
+            reach = max(EIG_SPLIT_FACTOR * eps ** (1.0 / m) for m in range(
+                3, min(n, EIG_SPLIT_LONGEST) + 1)) * chi_norm
+            near = (distance > EIG_CLUSTER_TOL) \
+                & (distance <= reach[:, None, None])
+            for m in near.any(axis=(1, 2)).nonzero()[0].tolist():
+                split = None if m in failures else _unresolved_split(
+                    reps[m].tolist(), *np.linalg.eig(chi[m]), chi_norm[m])
+                if split is not None:
+                    spread = max(abs(a - b) for a in split for b in split)
+                    failures[m] = PairingFailure(
+                        f"{len(split)} eigenvalues within {spread:.3e} of "
+                        "each other may be one defective eigenvalue split "
+                        "by rounding")
+        # single-linkage clusters within EIG_CLUSTER_TOL: each value takes
+        # the smallest index it is linked to, the index of its cluster's
+        # first value; the sum of each cluster's values in index order
+        linked = (distance <= EIG_CLUSTER_TOL) | np.eye(n, dtype=bool)
+        position = np.arange(n)
+        label = np.repeat(position[None], size, axis=0)
+        for _ in range(n - 1):
+            label = np.where(linked, label[:, None, :], n).min(axis=2)
+        inside = label[:, None, :] == position[:, None]
+        total = np.add.accumulate(np.where(inside, reps[:, None, :], 0),
+                                  axis=2)[..., -1]
+        am = inside.sum(axis=2)
+        owner, first = np.nonzero(label == position)
+        total, am = total[owner, first], am[owner, first]
+        # the mean as Python's complex quotient by the count forms it
+        values = np.empty(len(am), dtype=complex)
+        values.real = (total.real + total.imag * 0.0) / am
+        values.imag = (total.imag - total.real * 0.0) / am
+        magnitude = np.abs(values.imag)
+        real = magnitude <= tau[owner]
+        values.imag = np.where(real, 0.0, magnitude)
+    gm = np.ones(len(am), dtype=int)
+    repeated = [e for e in (am > 1).nonzero()[0].tolist()
+                if owner[e] not in failures]
+    if repeated:
+        eye = np.eye(2 * n)
+        shifted = np.stack([chi[owner[e]] - (
+            values[e].real if real[e] else complex(values[e])) * eye
+            for e in repeated])
+        rank_tol = 1e-9 * chi_norm[owner[repeated]] * (2 * n)
+        kernel = (np.linalg.svd(shifted, compute_uv=False)
+                  <= rank_tol[:, None]).sum(axis=1)
+        gm[repeated] = np.minimum(np.maximum(
+            np.where(real[repeated], np.round(kernel / 2), kernel), 1),
+            am[repeated])
+    entries = [[] for _ in range(size)]
+    for m, value, a, g in zip(owner.tolist(), values.tolist(), am.tolist(),
+                              gm.tolist()):
+        entries[m].append(SpectrumEntry(value, a, g))
+    for m, member in enumerate(members.tolist()):
+        outcomes[member] = failures.get(m) or StandardSpectrum(entries[m],
+                                                               svals[m])
     return outcomes
-
-
-def _member_spectrum(chi, svals, eigs, vecs, scale, singular_tol):
-    """StandardSpectrum of one adjoint from its singular values, its
-    eigendecomposition and the sum norm of its quaternion matrix."""
-    n = chi.shape[-1] // 2
-    chi_norm = svals[0]
-    if singular_tol is not None \
-            and svals[-1] <= singular_tol * max(1.0, chi_norm):
-        raise Singular(f"adjoint condition {chi_norm:.3e}/{svals[-1]:.3e} "
-                       "treats the matrix as singular")
-    tau_pair = 1e-7 * max(1.0, scale)
-    reps = _pair_adjoint_eigenvalues(eigs.tolist(), tau_pair)
-    if len(reps) != n:
-        raise PairingFailure(f"paired down to {len(reps)} values, expected {n}")
-
-    split = _unresolved_split(reps, eigs, vecs, chi_norm)
-    if split is not None:
-        spread = max(abs(a - b) for a in split for b in split)
-        raise PairingFailure(
-            f"{len(split)} eigenvalues within {spread:.3e} of each other may "
-            "be one defective eigenvalue split by rounding")
-    rank_tol = 1e-9 * chi_norm * (2 * n)
-    entries = []
-    for group in _cluster(reps, EIG_CLUSTER_TOL):
-        value = sum(group) / len(group)
-        am = len(group)
-        real = abs(value.imag) <= tau_pair
-        value = complex(value.real, 0.0 if real else abs(value.imag))
-        gm = 1
-        if am > 1:
-            shift = value.real if real else value
-            kernel = _nullity(chi - shift * np.eye(2 * n), rank_tol)
-            gm = min(max(round(kernel / 2) if real else kernel, 1), am)
-        entries.append(SpectrumEntry(value, am, gm))
-    return StandardSpectrum(entries, svals)
 
 
 def _eigenvector(A, value):

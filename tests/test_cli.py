@@ -267,6 +267,33 @@ def test_sweep_setup_is_silent_on_nonfinite_points(capsys):
     assert [row["error"] for row in rows[2:]] == [NAN_RESIDUAL] * 2
 
 
+def strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_sweep_report_of_nonfinite_points_is_strict_json(tmp_path, capsys):
+    # the config names a non-finite point, the results hold null for it,
+    # its row keeps its error, and the report replays to itself
+    path = tmp_path / "sweep.json"
+    assert run_cli(["sweep", "--period", "pi", "--a", "p + j*cos(p*t)",
+                    "--p-grid=1,2,nan,-1e400", "--format", "json",
+                    "--out", str(path)]) == 0
+    report = strict_json(path.read_text())
+    assert report["config"]["sweep"]["grid"] == [1.0, 2.0, "nan", "-inf"]
+    assert report["results"]["grid"] == [1.0, 2.0, None, None]
+    rows = report["results"]["rows"]
+    assert [row["p"] for row in rows] == [1.0, 2.0, None, None]
+    assert [row["error"] for row in rows[2:]] == [NAN_RESIDUAL] * 2
+    assert not rows[1]["error"]
+    assert run_cli(["--replay", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert strict_json(out) == report
+
+
 def test_sweep_sets_up_once_per_chart(monkeypatch, capsys):
     # one companion and one periodicity check for a 16-point chart
     counts = {"specs": 0, "checks": 0}

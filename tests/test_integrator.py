@@ -260,14 +260,38 @@ def test_normal_form_takes_few_steps(fd_growing):
 
 
 def test_normal_form_evaluates_a_once_per_window(fd_growing):
-    # A(t) is evaluated at t0 and then once per window of steps: the
-    # growing fixture's [0, 2T] integration takes 53 steps in 3 calls
+    # A(t) is evaluated once per window of steps, with no pass at t0 (the
+    # first window's stage 0 is A(t0)): the growing fixture's [0, 2T]
+    # integration takes 53 steps in 2 calls, a one-step window that sizes
+    # the step and one window for the rest
     counts = fd_growing.trajectory.counts
     assert counts.accepted == len(fd_growing.trajectory.times) - 1
     assert counts.trials >= counts.accepted
     # a window holds at most WINDOW trial steps
     windows = math.ceil(counts.trials / integrate_module.WINDOW)
-    assert 1 + windows <= counts.coefficient_calls <= counts.accepted / 4
+    assert windows < counts.coefficient_calls == 2
+
+
+@pytest.mark.parametrize("cfg, batch, dense", [
+    (IntegratorConfig(), 12, 16),
+    (IntegratorConfig(method="rk4", rk4_step=0.3), 4, 5)])
+def test_stage_times_per_step(cfg, batch, dense, monkeypatch):
+    # without a continuous extension a step evaluates the method's own
+    # stages alone, DOP853's 12 or RK4's 4; `integrate` adds the stage at
+    # the step's end and DOP853's 3 extension stages.  Every call is a
+    # window's (stages, steps, members) grid of times
+    spec = MatrixSpec.from_strings([["0", "1"], ["-(p + j*cos(2*t))", "0"]],
+                                   variables=("t", "p"), period=math.pi)
+    shapes = []
+    adjoint = spec.adjoint
+    monkeypatch.setattr(spec, "adjoint", lambda t, params=None: (
+        shapes.append(np.shape(t)), adjoint(t, params))[1])
+    integrate_batch(spec, 0.0, math.pi, QMatrix.identity(2),
+                    {"p": [0.5, 2.0]}, cfg)
+    assert {(len(shape), shape[0]) for shape in shapes} == {(3, batch)}
+    shapes.clear()
+    integrate(spec, 0.0, math.pi, QMatrix.identity(2), cfg, {"p": 0.5})
+    assert {(len(shape), shape[0]) for shape in shapes} == {(3, dense)}
 
 
 def test_windows_match_a_tight_reference():

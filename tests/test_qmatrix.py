@@ -566,6 +566,134 @@ def test_non_finite_stack_member_fails_alone():
     assert spectrum_key(last) == single_key(members[2])
 
 
+def _reference_pairs(eigs, tau):
+    """The n paired representatives of one member's adjoint eigenvalues,
+    paired one member at a time in Python's complex arithmetic."""
+    from qfloquet.qmatrix import PairingFailure
+    reals = [w for w in eigs if abs(w.imag) <= tau]
+    upper = sorted((w for w in eigs if w.imag > tau),
+                   key=lambda w: (w.real, w.imag))
+    lower = [w for w in eigs if w.imag < -tau]
+    if len(upper) != len(lower):
+        raise PairingFailure(f"{len(upper)} eigenvalues above the real axis "
+                             f"vs {len(lower)} below")
+    reps = []
+    for w in upper:
+        target = w.conjugate()
+        best = min(range(len(lower)), key=lambda m: abs(lower[m] - target))
+        if abs(lower[best] - target) > tau:
+            raise PairingFailure(
+                f"no conjugate partner for {w:.6g} within {tau:.3e}")
+        reps.append(0.5 * w + 0.5 * lower.pop(best).conjugate())
+    if len(reals) % 2:
+        raise PairingFailure("odd number of real adjoint eigenvalues")
+    reals.sort(key=lambda w: w.real)
+    for m in range(0, len(reals), 2):
+        a, b = reals[m], reals[m + 1]
+        if abs(a.real - b.real) > tau:
+            raise PairingFailure(
+                f"unpaired real eigenvalues {a.real:.6g}, {b.real:.6g}")
+        reps.append(complex(0.5 * a.real + 0.5 * b.real, 0.0))
+    return reps
+
+
+def reference_spectrum(chi, singular_tol=None):
+    """standard_eigenvalues of one adjoint, member by member: pairing,
+    single-linkage clustering and nullity SVDs in Python's arithmetic."""
+    from qfloquet.qmatrix import (EIG_CLUSTER_TOL, PairingFailure,
+                                  SpectrumEntry, StandardSpectrum, _cluster,
+                                  _unresolved_split)
+    n = chi.shape[-1] // 2
+    try:
+        eigs, vecs = np.linalg.eig(chi)
+    except np.linalg.LinAlgError as exc:
+        return exc
+    svals = np.linalg.svd(chi, compute_uv=False)
+    chi_norm = svals[0]
+    if singular_tol is not None \
+            and svals[-1] <= singular_tol * max(1.0, chi_norm):
+        return Singular(f"adjoint condition {chi_norm:.3e}/{svals[-1]:.3e} "
+                        "treats the matrix as singular")
+    tau = 1e-7 * max(1.0, sum_norm(from_adjoint(chi, project=False)))
+    try:
+        reps = _reference_pairs(eigs.tolist(), tau)
+    except PairingFailure as exc:
+        return exc
+    if len(reps) != n:
+        return PairingFailure(f"paired down to {len(reps)} values, "
+                              f"expected {n}")
+    split = _unresolved_split(reps, eigs, vecs, chi_norm)
+    if split is not None:
+        spread = max(abs(a - b) for a in split for b in split)
+        return PairingFailure(
+            f"{len(split)} eigenvalues within {spread:.3e} of each other "
+            "may be one defective eigenvalue split by rounding")
+    entries = []
+    for group in _cluster(reps, EIG_CLUSTER_TOL):
+        value = sum(group) / len(group)
+        am = len(group)
+        real = abs(value.imag) <= tau
+        value = complex(value.real, 0.0 if real else abs(value.imag))
+        gm = 1
+        if am > 1:
+            shift = value.real if real else value
+            kernel = int((np.linalg.svd(chi - shift * np.eye(2 * n),
+                                        compute_uv=False)
+                          <= 1e-9 * chi_norm * (2 * n)).sum())
+            gm = min(max(round(kernel / 2) if real else kernel, 1), am)
+        entries.append(SpectrumEntry(value, am, gm))
+    return StandardSpectrum(entries, svals)
+
+
+def bits_key(outcome):
+    """Every bit of a spectrum (signed zeros included), or the type and
+    message of its failure."""
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__, str(outcome)
+    return ([(e.value.real.hex(), e.value.imag.hex(), e.algebraic_multiplicity,
+              e.geometric_multiplicity) for e in outcome],
+            outcome.singular_values.tobytes())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_spectra_match_a_per_member_reference(n):
+    # simple, real-pair, repeated (gm 1, and gm 2 or n), singular and
+    # non-finite members, in seeded orders: the stacked pairing and
+    # clustering give each member's spectrum bit for bit
+    rng = np.random.default_rng([41, n])
+    for _ in range(8):
+        S = random_similarity(rng, n)
+        q = Quaternion(*rng.uniform(-1, 1, 4))
+        reals = [Quaternion(float(x)) for x in rng.uniform(-2, 2, n)]
+        spare = [Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(n - 2)]
+        non_finite = adjoint(random_qmatrix(rng, n))
+        non_finite[0, 1] = np.nan
+        members = {
+            "simple": adjoint(random_qmatrix(rng, n)),
+            "real": adjoint(S @ QMatrix.diag(reals) @ inv(S)),
+            "gm1": adjoint(S @ jordan_block_matrix([q, q, *spare], ones={0})
+                           @ inv(S)),
+            "gm2": adjoint(S @ QMatrix.diag([q, q, *spare]) @ inv(S)),
+            "-I": adjoint(-QMatrix.identity(n)),
+            "singular": adjoint(S @ QMatrix.diag([Quaternion(0.0), *reals[1:]])
+                                @ inv(S)),
+            "non-finite": non_finite,
+        }
+        names = [list(members)[k] for k in rng.permutation(len(members))]
+        stack = np.stack([members[name] for name in names])
+        for tol in (None, 1e-12):
+            stacked = standard_eigenvalues(stack, tol)
+            assert [bits_key(s) for s in stacked] == \
+                [bits_key(reference_spectrum(chi, tol)) for chi in stack]
+        got = dict(zip(names, stacked))
+        assert all(e.value.imag == 0.0 for e in got["real"])
+        assert (2, 1) in multiplicities(got["gm1"])
+        assert (2, 2) in multiplicities(got["gm2"])
+        assert multiplicities(got["-I"]) == [(n, n)]
+        assert isinstance(got["singular"], Singular)
+        assert isinstance(got["non-finite"], np.linalg.LinAlgError)
+
+
 # C = expm(A) for a benchmark input (constant_algebra, seed 11, pair:2416),
 # and a logarithm candidate for it, S diag(log lambda) S^-1 from right
 # eigenvectors S, whose exponential leaves the quaternion block set
