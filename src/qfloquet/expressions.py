@@ -583,14 +583,15 @@ class MatrixSpec:
 
     @functools.cached_property
     def _adjoint_layout(self):
-        """(varying entry functions, base, basis) for `adjoint`.
+        """(varying entry functions, basis) for `adjoint`.
 
         The adjoint is linear in the entries: seen as a flat float array, it
-        is the adjoint of the constant entries (base) plus the components of
-        the varying entries times the adjoints of unit entries (basis rows).
-        The basis holds 0 and +-1 with one nonzero per slot, so the product
-        is exact and each member of a batch gets the same value in a batch
-        of any size.
+        is the components of the varying entries times the adjoints of unit
+        entries (the basis rows), plus 1 times the adjoint of the constant
+        entries (the last row).  The unit rows hold 0 and +-1 with one
+        nonzero per slot, so their part of the product is exact and each
+        slot takes one rounding, its constant's addition; each member of a
+        batch gets the same value in a batch of any size.
         """
         constant = np.zeros((self.n * self.n, 4))
         varying, units = [], []
@@ -601,9 +602,10 @@ class MatrixSpec:
             else:
                 constant[index] = fn(0.0, None)
         shape = (-1, self.n, self.n, 4)
-        base = adjoints(top_rows(constant.reshape(shape))).view(float).ravel()
-        basis = adjoints(top_rows(np.eye(constant.size)[units].reshape(shape)))
-        return varying, base, basis.view(float).reshape(len(units), base.size)
+        rows = np.concatenate((np.eye(constant.size)[units],
+                               constant.reshape(1, -1)))
+        basis = adjoints(top_rows(rows.reshape(shape))).view(float)
+        return varying, basis.reshape(len(rows), -1)
 
     def adjoint(self, t, params=None):
         """Complex adjoint of A(t) (see `qmatrix.adjoint`), shape (2n, 2n).
@@ -612,14 +614,14 @@ class MatrixSpec:
         same shape (one value per member of a batch), the result has shape
         t.shape + (2n, 2n).
         """
-        varying, base, basis = self._adjoint_layout
+        varying, basis = self._adjoint_layout
         shape = np.shape(t)
         values = np.empty((len(basis),) + shape)
         for column, fn in enumerate(varying):
             for offset, value in enumerate(fn(t, params)):
                 values[4 * column + offset] = value
+        values[-1] = 1.0
         flat = values.reshape(len(values), math.prod(shape)).T @ basis
-        flat += base
         return flat.view(complex).reshape(shape + (2 * self.n, 2 * self.n))
 
     def re_trace(self, t, params=None):
@@ -644,7 +646,14 @@ class MatrixSpec:
         members = np.broadcast_shapes(*rows)[-1] if rows else None
 
         def drift(t):
-            return sum(hypot(*map(operator.sub, f(t, params),
-                                  f(t + period, params)))
+            # each entry evaluated once, at t and t + T stacked on a new
+            # first axis; a component without that axis does not vary in t
+            both = np.stack((t, t + period))
+
+            def change(c):
+                if np.ndim(c) == both.ndim and np.shape(c)[0] == 2:
+                    return c[0] - c[1]
+                return c - c
+            return sum(hypot(*map(change, f(both, params)))
                        for f in self._entry_fns)
         return grid_max(drift, period, grid_points, members)

@@ -126,19 +126,18 @@ def _frobenius_verdicts(chi):
     power with the largest margin.
     """
     n = chi.shape[-1] // 2
-    traces, bounds = [], []
+    powers = np.empty((FROBENIUS_SQUARINGS,) + chi.shape, dtype=complex)
+    powers[0] = chi
+    ks = [2 ** power for power in range(FROBENIUS_SQUARINGS)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for power in range(FROBENIUS_SQUARINGS):
-            if power:
-                chi = chi @ chi
-            k = 2 ** power
-            # the adjoint doubles the trace and the squared Frobenius norm
-            traces.append(0.5 * np.trace(chi, axis1=-2, axis2=-1).real)
-            rounding = (k * np.finfo(float).eps
-                        * np.linalg.norm(chi, axis=(-2, -1)) / math.sqrt(2.0))
-            bounds.append(n * (1.0 + 2.0 * STAB_TOL) ** k
-                          + np.fmax(TRACE_TOL, rounding))
-        traces, bounds = np.array(traces), np.array(bounds)
+        for power in range(1, FROBENIUS_SQUARINGS):
+            np.matmul(powers[power - 1], powers[power - 1], out=powers[power])
+        # the adjoint doubles the trace and the squared Frobenius norm
+        traces = 0.5 * np.trace(powers, axis1=-2, axis2=-1).real
+        rounding = (np.multiply(ks, np.finfo(float).eps)[:, None]
+                    * np.linalg.norm(powers, axis=(-2, -1)) / math.sqrt(2.0))
+        growth = [n * (1.0 + 2.0 * STAB_TOL) ** k for k in ks]
+        bounds = np.array(growth)[:, None] + np.fmax(TRACE_TOL, rounding)
         margins = np.abs(traces) - bounds
     certified = margins > 0
     # a nan margin (an overflowed power) never serves as evidence

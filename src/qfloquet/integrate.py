@@ -25,7 +25,10 @@ A member advances in windows of equal steps.  Because the system is
 linear, a step's stages are propagators that do not depend on the state,
 so one array call evaluates A at every stage time of the window and the
 stages of all its steps are built together; only the product of each
-step's propagator with the state is sequential.  Each weighted sum of
+step's propagator with the state is sequential.  In a batch, a window
+covers each member's own steps alone, however many the others take, and
+the local error estimates, which read the top block rows of their
+products, share one product per step.  Each weighted sum of
 stages is built in place over the row's nonzero weights, so a stage costs
 the same memory however long the window.  The longest prefix of steps
 within the tolerance is accepted, and the next step comes from the first
@@ -175,7 +178,7 @@ class _Method(NamedTuple):
     """An explicit Runge-Kutta method; the stage after the step's own is
     f(t + h, y_new).  Each row of weights holds its nonzero weights alone,
     as (stage, weight) pairs in stage order (see `_stage_sum`)."""
-    c: np.ndarray      # step fraction of each stage, shaped (stages, 1, 1)
+    c: np.ndarray      # step fraction of each stage, shaped (stages, 1)
     last: int          # the stage f(t + h, y_new); the stages after it
                        # are the continuous extension's
     a: tuple           # weights of the earlier stages, per stage after
@@ -188,14 +191,15 @@ def _method(c, a, b, err5=None, bhh=None, extra_c=(), extra_a=(), dense=()):
     """A _Method from stage fractions c (c[0] = 0) and weight lists.  The
     3rd-order error weights are b - bhh; the extension's extra stages come
     at the fractions extra_c, after f(t + h, y_new)."""
-    return _Method(np.array(c + (1.0,) + extra_c)[:, None, None], len(b),
+    return _Method(np.array(c + (1.0,) + extra_c)[:, None], len(b),
                    _weights(*a, b, *extra_a),
                    _weights(err5, np.subtract(b, bhh)) if err5 else (),
                    _weights(*dense))
 
 
 def _weights(*rows):
-    return tuple(tuple((stage, float(weight))
+    # complex, the type each weight takes in a product with a stage
+    return tuple(tuple((stage, np.complex128(weight))
                        for stage, weight in enumerate(row) if weight)
                  for row in rows)
 
@@ -203,12 +207,13 @@ def _weights(*rows):
 def _stage_sum(row, K, out, scratch):
     """sum_j w_j K[j] over the row's (j, w_j) pairs, added in stage order
     into `out`, with `scratch` (both shaped like K[0]) for each term; so a
-    stage sum of any length allocates nothing.  Returns out."""
+    stage sum of any length allocates nothing.  K is a sequence of the
+    stages' arrays.  Returns out."""
     (first, weight), *rest = row
-    np.multiply(K[first], weight, out=out)
+    np.multiply(K[first], weight, out)
     for stage, weight in rest:
-        np.multiply(K[stage], weight, out=scratch)
-        out += scratch
+        np.multiply(K[stage], weight, scratch)
+        np.add(out, scratch, out)
     return out
 
 
@@ -362,68 +367,92 @@ def _window(method, coefficients, cfg, dense, t1, members, t, h, n, y):
     """n trial steps of length h from t for each member, computed together.
 
     Each stage's h M' is K_s y for the propagator K_s = h A_s (I + sum_j
-    a_sj K_j), and y_{w+1} = R_w y_w.  The step axis has length W = max(n);
-    a member with fewer steps repeats its last one there, unused.  Without
-    `dense`, only the method's own stages are evaluated, DOP853's 12 or
-    RK4's 4: the stage f(t + h, y_new) after them, and the stages after
-    that, serve the continuous extension alone, and no error weight reads
-    them.  Returns the states y_0 .. y_W; whether each member's state and
-    stage 0, h A(t), are finite at the window's start; each step's local
-    error relative to the tolerance (None for a fixed step); whether each
-    step's end state, and with `dense` h M' there, is finite; and, with
-    `dense`, each step's continuous extension as a Trajectory stores it
-    (steps on the second axis, members on the third).  Every operation is
+    a_sj K_j), and y_{w+1} = R_w y_w.  The stages are built for the window's
+    (step, member) pairs alone, step by step: a member takes its own n of
+    the W = max(n) steps, and one with fewer keeps its last state through
+    the rest.  Without `dense`, only the method's own stages are evaluated,
+    DOP853's 12 or RK4's 4: the stage f(t + h, y_new) after them, and the
+    stages after that, serve the continuous extension alone, and no error
+    weight reads them.  Returns the states y_0 .. y_W; whether each
+    member's state and stage 0, h A(t), are finite at the window's start;
+    each step's local error relative to the tolerance (None for a fixed
+    step); whether each step's end state, and with `dense` h M' there, is
+    finite; and, with `dense`, each step's continuous extension as a
+    Trajectory stores it (steps on the second axis, members on the third).
+    Entries past a member's n steps are not read.  Every operation is
     elementwise or one product per matrix, so a member's results do not
     depend on the rest of the batch.
     """
     last = method.last
-    width = n.max()
-    w = np.minimum(np.arange(width)[:, None], n - 1)
+    width, size = n.max(), len(n)
+    step, member = np.nonzero(np.arange(width)[:, None] < n)
+    bounds = np.searchsorted(step, np.arange(width + 1))
     fractions = method.c if dense else method.c[:last]
     # h A at every stage time of the window, evaluated together, shaped
-    # (stages, steps, members, 2n, 2n); stage by stage, K[s] = h A_s turns
-    # into the propagator K_s
-    K = coefficients(members, np.minimum(t + (w + fractions) * h, t1))
-    K *= h[:, None, None]
-    eye = np.eye(y.shape[-1])
+    # (stages, pairs, 2n, 2n); stage by stage, K[s] = h A_s turns into the
+    # propagator K_s
+    K = coefficients(members[member],
+                     np.minimum(t[member] + (step + fractions) * h[member],
+                                t1))
+    K *= h[member, None, None]
+    eye = np.eye(y.shape[-1], dtype=complex)
     # the last stage's I + sum_j b_j K_j is the step's propagator R, which
     # the states need after the loop, so it keeps its own buffer
     argument, scratch, R = (np.empty_like(K[0]) for _ in range(3))
+    stages = list(K)
     for s, row in enumerate(method.a if dense else method.a[:last], 1):
-        total = _stage_sum(row, K, R if s == last else argument, scratch)
+        total = _stage_sum(row, stages, R if s == last else argument,
+                           scratch)
         total += eye
         if s < len(K):
             np.matmul(K[s], total, out=K[s])
     ys = np.empty((width + 1,) + y.shape, dtype=complex)
     ys[0] = y
-    for step in range(width):
-        np.matmul(R[step], ys[step], out=ys[step + 1])
+    for w, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if hi - lo == size:
+            np.matmul(R[lo:hi], ys[w], out=ys[w + 1])
+        else:
+            ys[w + 1] = ys[w]
+            ys[w + 1, member[lo:hi]] = R[lo:hi] @ ys[w, member[lo:hi]]
     sizes = sum_norms(ys)
-    start = np.isfinite(sizes[0]) & _finite(K[0, 0])
+    start = np.isfinite(sizes[0]) & _finite(K[0, :size])
     finite = np.isfinite(sizes[1:])
     # the error and extension weights, each applied to its step's start
     # state
-    rows = method.err + (method.dense if dense else ())
-    weighted = np.empty((len(rows),) + K.shape[1:], dtype=complex)
-    for row, out in zip(rows, weighted):
-        _stage_sum(row, K, out, scratch)
-    products = weighted @ ys[:-1]
+    starts = ys[step, member]
     err = extension = None
     if method.err:
-        e5, e3 = sum_norms(products[:2]) / (
-            cfg.abs_tol + cfg.rel_tol * np.maximum(sizes[:-1], sizes[1:]))
+        # the error estimates read their products' top block rows alone, so
+        # the top rows of the two error sums, stacked, are one product
+        half = y.shape[-1] // 2
+        weighted = np.empty((2,) + K.shape[1:], dtype=complex)
+        for row, out in zip(method.err, weighted):
+            _stage_sum(row, stages, out, scratch)
+        tops = weighted[:, :, :half].swapaxes(0, 1).reshape(K.shape[1:])
+        products = (tops @ starts).reshape(-1, 2, half, 2 * half)
+        e5, e3 = sum_norms(products).T / (
+            cfg.abs_tol + cfg.rel_tol * np.maximum(sizes[step, member],
+                                                   sizes[step + 1, member]))
         # Hairer's combination of the two estimates; 0 when both vanish
         denominator = np.sqrt(e5 * e5 + 0.01 * e3 * e3)
-        err = np.where(denominator == 0.0, 0.0, e5 * e5 / denominator)
+        err = np.zeros((width, size))
+        err[step, member] = np.where(denominator == 0.0, 0.0,
+                                     e5 * e5 / denominator)
     if dense:
+        weighted = np.empty((len(method.dense),) + K.shape[1:], dtype=complex)
+        for row, out in zip(method.dense, weighted):
+            _stage_sum(row, stages, out, scratch)
         # h M' at each step's start and end
-        k0 = K[0] @ ys[:-1]
-        hf = K[last] @ ys[:-1]
-        finite &= _finite(hf)
-        delta = ys[1:] - ys[:-1]
-        extension = np.concatenate((
-            [delta, k0 - delta, 2.0 * delta - k0 - hf],
-            products[len(method.err):]))
+        k0 = K[0] @ starts
+        hf = K[last] @ starts
+        finite[step, member] &= _finite(hf)
+        delta = ys[step + 1, member] - starts
+        extension = np.zeros((len(weighted) + 3, width) + y.shape,
+                             dtype=complex)
+        for out, part in zip(extension, (delta, k0 - delta,
+                                         2.0 * delta - k0 - hf)):
+            out[step, member] = part
+        extension[3:, step, member] = weighted @ starts
     return ys, start, err, finite, extension
 
 
@@ -498,16 +527,18 @@ def _run(coefficients, t0, t1, y0, cfg, steps=None):
 
     with np.errstate(all="ignore"):
         while len(members):
-            # arrival wins over a step underflow, which wins over the budget
-            ended = {row: StepBudgetExceeded(f"more than {MAX_STEPS} steps, "
-                                             f"stopped at t={t[row]:.6g}")
-                     for row in np.flatnonzero(trials == MAX_STEPS)}
-            ended.update({row: StepUnderflow(f"step size {h[row]:.3e} "
-                                             f"underflowed at t={t[row]:.6g}")
-                          for row in np.flatnonzero(h < 1e-13 * span)})
-            ended.update({row: y[row]
-                          for row in np.flatnonzero(t >= t1 - 1e-14 * span)})
-            if ended:
+            budget, underflow = trials == MAX_STEPS, h < 1e-13 * span
+            arrived = t >= t1 - 1e-14 * span
+            if (budget | underflow | arrived).any():
+                # arrival wins over a step underflow, which wins over the
+                # budget
+                ended = {row: StepBudgetExceeded(
+                    f"more than {MAX_STEPS} steps, stopped at t={t[row]:.6g}")
+                    for row in np.flatnonzero(budget)}
+                ended.update({row: StepUnderflow(
+                    f"step size {h[row]:.3e} underflowed at t={t[row]:.6g}")
+                    for row in np.flatnonzero(underflow)})
+                ended.update({row: y[row] for row in np.flatnonzero(arrived)})
                 retire(ended)
                 continue
             # a window that reaches t1 takes equal steps that end exactly

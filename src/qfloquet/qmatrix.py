@@ -406,7 +406,8 @@ def quaternion_data(chi):
 
 def sum_norms(chi):
     """Entrywise sum norm of the quaternion matrix behind each adjoint in a
-    (..., 2n, 2n) stack."""
+    (..., 2n, 2n) stack, read from its top block row; a (..., n, 2n) stack
+    of top block rows gives the same."""
     return _moduli(chi[..., :chi.shape[-1] // 2, :]).sum(axis=(-2, -1))
 
 

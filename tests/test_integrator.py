@@ -279,7 +279,8 @@ def test_stage_times_per_step(cfg, batch, dense, monkeypatch):
     # without a continuous extension a step evaluates the method's own
     # stages alone, DOP853's 12 or RK4's 4; `integrate` adds the stage at
     # the step's end and DOP853's 3 extension stages.  Every call is a
-    # window's (stages, steps, members) grid of times
+    # window's grid of times, one row per stage and one column per step of
+    # a member
     spec = MatrixSpec.from_strings([["0", "1"], ["-(p + j*cos(2*t))", "0"]],
                                    variables=("t", "p"), period=math.pi)
     shapes = []
@@ -288,10 +289,18 @@ def test_stage_times_per_step(cfg, batch, dense, monkeypatch):
         shapes.append(np.shape(t)), adjoint(t, params))[1])
     integrate_batch(spec, 0.0, math.pi, QMatrix.identity(2),
                     {"p": [0.5, 2.0]}, cfg)
-    assert {(len(shape), shape[0]) for shape in shapes} == {(3, batch)}
-    shapes.clear()
-    integrate(spec, 0.0, math.pi, QMatrix.identity(2), cfg, {"p": 0.5})
-    assert {(len(shape), shape[0]) for shape in shapes} == {(3, dense)}
+    assert {(len(shape), shape[0]) for shape in shapes} == {(2, batch)}
+    # the batch evaluates each member's own trial steps, and no step past
+    # them for a member that takes fewer in a window
+    pairs = sum(shape[1] for shape in shapes)
+    trials = []
+    for p in (0.5, 2.0):
+        shapes.clear()
+        traj = integrate(spec, 0.0, math.pi, QMatrix.identity(2), cfg,
+                         {"p": p})
+        assert {(len(shape), shape[0]) for shape in shapes} == {(2, dense)}
+        trials.append(traj.counts.trials)
+    assert pairs == sum(trials)
 
 
 def test_windows_match_a_tight_reference():
