@@ -19,10 +19,9 @@ import numpy as np
 
 from .expressions import (ExprSyntaxError, MatrixSpec, UnknownIdentifier,
                           evaluate, parse)
-from .floquet import (P_SAMPLE_COUNT, NotPeriodic, PeriodicityViolation,
-                      classify_constant, classify_periodic,
-                      exponent_sum_residual, multiplier_product_check,
-                      normal_form)
+from .floquet import (NotPeriodic, PeriodicityViolation, classify_constant,
+                      classify_periodic, exponent_sum_residual,
+                      multiplier_product_check, normal_form)
 from .hill import HillProblem, NotRealCoefficient, analyze, analyze_chart
 from .integrate import (IntegratorConfig, NonFiniteState, QuadratureFailure,
                         StepBudgetExceeded, StepUnderflow)
@@ -229,16 +228,15 @@ def run_periodic(config):
     fd = normal_form(spec, cfg)
     b_spectrum = standard_eigenvalues(fd.B)
     verdict = classify_periodic(fd)
-    # ||M(t)|| at 0, T/2, T, 3T/2 and 2T, which are among the M_samples
-    # times: the (odd) grid's first, middle and last point, then its middle
-    # and last point plus T
-    middle = P_SAMPLE_COUNT // 2
-    norms = sum_norms(fd.M_samples[[0, middle, P_SAMPLE_COUNT - 1,
-                                    P_SAMPLE_COUNT + middle, -1]]).tolist()
+    # ||M(t)|| at 0, T/2, T, 3T/2 and 2T: samples of the first period's
+    # (odd) grid, then of the second's
+    first, second = (traj.adjoints for traj in fd.trajectories)
+    norms = sum_norms(np.concatenate([first[[0, len(first) // 2, -1]],
+                                      second[[len(second) // 2, -1]]]))
+    norms = norms.tolist()
     # t, then the components of M(t), entry by entry in row-major order
     trajectory = [[t] + state.ravel().tolist() for t, state in zip(
-        fd.sample_times.tolist(),
-        quaternion_data(fd.M_samples[:P_SAMPLE_COUNT]))]
+        fd.sample_times.tolist(), quaternion_data(first))]
     return {
         "period": fd.period,
         "monodromy": fd.monodromy.data.tolist(),

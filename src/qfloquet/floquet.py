@@ -5,7 +5,10 @@ form M(t) = P(t) e^{tB}, periodic-solution witnesses, and stability
 classification for both constant and periodic systems.  Stability hinges on
 the standard eigenvalues: real parts for constant systems, moduli of the
 multipliers for periodic ones, with defective eigenvalues on the boundary
-counting as unstable.
+counting as unstable.  The normal form reads M(t) at step ends of two
+integrations, one per period, on sample grids that share every other
+first-period time but no step length, so P's periodicity check compares
+two different discretizations.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from .expressions import GRID_POINTS
 from .integrate import integrate, integrate_batch, trace_integral
 from .qmatrix import (EIG_CLUSTER_TOL, SINGULAR_TOL, QMatrix,
-                      StandardSpectrum, adjoint, expm_adjoint, from_adjoint,
+                      StandardSpectrum, adjoint, expm_adjoint,
                       logm, right_eigenvector, standard_eigenvalues, sum_norms)
 from .quaternion import Quaternion
 
@@ -28,8 +31,11 @@ from .quaternion import Quaternion
 STAB_TOL = 1e-7
 # periodicity residual allowance for P(t), relative to max ||P||
 P_PERIODICITY_TOL = 1e-6
-# number of P(t) samples kept on [0, T]
+# number of P(t) samples kept on [0, T], and of equal intervals of [T, 2T]
+# whose ends are second-period samples: 32 and 48 intervals share every
+# other first-period time, 17 in all, where P's periodicity is checked
 P_SAMPLE_COUNT = 33
+SECOND_PERIOD_SAMPLES = 48
 # residual allowance for the A(t+T) = A(t) grid test (also used by hill.py)
 COEFF_PERIODICITY_TOL = 1e-8
 
@@ -90,10 +96,8 @@ class FloquetData:
     exponents: list
     sample_times: np.ndarray   # P_SAMPLE_COUNT times from 0 to T
     P_samples: np.ndarray   # adjoints of P(t) at the sample times
-    M_samples: np.ndarray   # adjoints of M(t) at the sample times t, then
-                            # at t + T
-    periodicity_residual: float
-    trajectory: object   # the [0, 2T] integration behind the samples
+    periodicity_residual: float   # max ||P(t + T) - P(t)||, t on both grids
+    trajectories: tuple   # the integrations over [0, T] and [T, 2T]
     trace_integral: float   # integral of Re tr A over [0, T]
 
 
@@ -218,33 +222,39 @@ def characteristic_exponents(multipliers, period):
 def normal_form(spec, cfg=None, params=None):
     """Full Floquet data: monodromy, B, multipliers, exponents, sampled P(t).
 
-    Integrates the principal fundamental matrix to 2T and reads M(t) from
-    the integrator's continuous extension, so the periodicity of
-    P(t) = M(t) e^{-tB} can be verified sample by sample.  M(T) is the
-    last sample on [0, T]; the samples stay stacks of adjoints.
+    Integrates the principal fundamental matrix over [0, T] on the P(t)
+    sample grid and over [T, 2T] on SECOND_PERIOD_SAMPLES intervals, each
+    sample a step end, and verifies P(t + T) = P(t), P(t) = M(t) e^{-tB},
+    at the times both grids share, where no step of the second period has
+    the length of one of the first.  M(T) is the last sample on [0, T]; the
+    samples stay stacks of adjoints.
     """
     _require_periodic(spec, params)
     T = spec.period
-    grid = np.linspace(0.0, T, P_SAMPLE_COUNT)
-    traj = integrate(spec, 0.0, 2.0 * T, QMatrix.identity(spec.n), cfg,
-                     params=params)
-    # M(t) and P(t) = M(t) e^{-tB} at t and t + T for t on the grid, as
-    # stacks of adjoints, with e^{-(t+T)B} = e^{-tB} e^{-TB}
-    states = traj.adjoints_at(np.concatenate([grid, grid + T]))
-    mono = from_adjoint(states[P_SAMPLE_COUNT - 1], project=False)
+    first = integrate(spec, 0.0, T, QMatrix.identity(spec.n), cfg, params,
+                      P_SAMPLE_COUNT - 1)
+    mono = first.final
+    second = integrate(spec, T, 2.0 * T, mono, cfg, params,
+                       SECOND_PERIOD_SAMPLES)
     multipliers = characteristic_multipliers(mono)
     B = logm(mono, multipliers) * (1.0 / T)
     exponents = characteristic_exponents(multipliers, T)
-    decay = expm_adjoint(-grid[:, None, None] * adjoint(B))
-    P = states @ np.concatenate([decay, decay @ decay[-1]])
-    max_p = float(sum_norms(P).max())
-    residual = float(sum_norms(P[:len(grid)] - P[len(grid):]).max())
+    # P(t) = M(t) e^{-tB} on the grid, and P(t + T) at the times t the two
+    # grids share, every a-th first-period and b-th second-period sample,
+    # with e^{-(t+T)B} = e^{-tB} e^{-TB}
+    shared = math.gcd(P_SAMPLE_COUNT - 1, SECOND_PERIOD_SAMPLES)
+    a, b = (P_SAMPLE_COUNT - 1) // shared, SECOND_PERIOD_SAMPLES // shared
+    decay = expm_adjoint(-first.times[:, None, None] * adjoint(B))
+    P = first.adjoints @ decay
+    shifted = second.adjoints[::b] @ decay[::a] @ decay[-1]
+    max_p = float(max(sum_norms(P).max(), sum_norms(shifted).max()))
+    residual = float(sum_norms(P[::a] - shifted).max())
     if residual > P_PERIODICITY_TOL * max_p:
         raise PeriodicityViolation(
             f"P(t) periodicity residual {residual:.3e} exceeds "
             f"{P_PERIODICITY_TOL:.1e} * {max_p:.3e}")
-    return FloquetData(T, mono, B, multipliers, exponents, grid,
-                       P[:len(grid)], states, residual, traj,
+    return FloquetData(T, mono, B, multipliers, exponents, first.times, P,
+                       residual, (first, second),
                        trace_integral(spec, 0.0, T, params))
 
 

@@ -94,15 +94,17 @@ def _check_coefficient(spec, params):
                          f"{COEFF_PERIODICITY_TOL:.1e}")
 
 
-def _trace_band_verdict(re_trace, M_T, on_band, inside, quantity):
+def _trace_band_verdict(re_trace, M_T, inside, quantity):
     """The +-2 verdict of a trace test on M(T).  On the band of half-width
     TRACE_TOL around +-2 it is STABLE when M(T) = +-I within IDENTITY_TOL,
-    else `on_band`; off the band it is UNSTABLE for |tr| > 2 and `inside`
-    within (-2, 2), with the trace's evidence labelled `quantity`."""
+    else UNDETERMINED (M(T) is near a Jordan block, on either side); off
+    the band it is UNSTABLE for |tr| > 2 and `inside` within (-2, 2), with
+    the trace's evidence labelled `quantity`."""
     for sign in (+1, -1):
         if abs(re_trace - 2.0 * sign) <= TRACE_TOL:
             distance = (M_T - QMatrix.identity(2) * sign).sum_norm()
-            kind = Stability.STABLE if distance <= IDENTITY_TOL else on_band
+            kind = (Stability.STABLE if distance <= IDENTITY_TOL
+                    else Stability.UNDETERMINED)
             return StabilityVerdict(kind, (
                 Evidence(complex(re_trace), "Re(tr M(T))", 2.0,
                          abs(re_trace) - 2.0),
@@ -291,12 +293,10 @@ def _reports(monodromies):
             frob_sq=frob_sq,
             multipliers=spectrum,
             K_eigs=tuple(kappas),
-            # on the band around +-2 with M(T) != +-I, the multipliers of a
-            # quaternion M(T) may still lie on the unit circle (a real M(T)
-            # would be a Jordan block), so the trace alone decides nothing
+            # inside (-2, 2) the multipliers of a quaternion M(T) need not
+            # lie on the unit circle, so the trace decides nothing there
             verdict_trace=_trace_band_verdict(
-                re_trace, M_T, Stability.UNDETERMINED, Stability.UNDETERMINED,
-                "Re(tr M(T))"),
+                re_trace, M_T, Stability.UNDETERMINED, "Re(tr M(T))"),
             verdict_frobenius=verdict,
             verdict_multipliers=classify_multipliers(spectrum),
         ))
@@ -307,7 +307,9 @@ def classify_real(problem, cfg=None):
     """Classical trace test for real-valued a(t).
 
     tr M(T) outside [-2, 2] is unstable; strictly inside is stable (not
-    asymptotically); on the boundary stability requires M(T) = +-I.
+    asymptotically).  On the band of half-width TRACE_TOL around +-2 it is
+    stable when M(T) = +-I, and else undetermined: there the trace cannot
+    tell a Jordan block from two multipliers on the unit circle.
     """
     a = compile_expr(problem.a)
     worst = grid_max(lambda t: hypot(*a(t, problem.params)[1:]),
@@ -319,5 +321,5 @@ def classify_real(problem, cfg=None):
                              QMatrix.identity(2), problem.params, cfg)
     if isinstance(M_T, Exception):
         raise M_T
-    return _trace_band_verdict(M_T.re_trace(), M_T, Stability.UNSTABLE,
-                               Stability.STABLE, "tr M(T)")
+    return _trace_band_verdict(M_T.re_trace(), M_T, Stability.STABLE,
+                               "tr M(T)")

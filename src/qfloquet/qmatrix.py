@@ -683,11 +683,16 @@ def _standard_spectra(chi, singular_tol):
     # same, bit for bit, with or without them
     eigs = np.linalg.eigvals(chi)
     chi_norm = svals[:, 0]
-    # np.fmax takes 1.0 over nan, as max(1.0, x) does; the arithmetic below
-    # is Python's, which is silent on values that overflow
-    tau = 1e-7 * np.fmax(1.0, sum_norms(chi))
+    # silent on values that overflow, as the Python arithmetic below is
     with np.errstate(all="ignore"):
+        # np.fmax takes 1.0 over nan, as max(1.0, x) does
+        tau = 1e-7 * np.fmax(1.0, sum_norms(chi))
         reps, failures = _pair_adjoint_eigenvalues(eigs, tau)
+        # a finite matrix near the float limit can have eigenvalues that
+        # overflow; no rule below can read them
+        for m in (~np.isfinite(eigs).all(axis=1)).nonzero()[0].tolist():
+            failures.setdefault(m, PairingFailure(
+                "the adjoint's eigenvalues are not finite"))
         if singular_tol is not None:
             singular = svals[:, -1] <= singular_tol * np.fmax(1.0, chi_norm)
             for m in singular.nonzero()[0].tolist():

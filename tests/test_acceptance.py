@@ -222,7 +222,8 @@ def test_criterion_7(periodic_growing_spec, periodic_defective_spec,
                                              period=math.pi), None),
     }
     for name, (spec, cfg) in specs.items():
-        traj = integrate(spec, 0.0, math.pi, QMatrix.identity(2), cfg)
+        traj = integrate(spec, 0.0, math.pi, QMatrix.identity(2), cfg,
+                         samples=33)
         assert liouville_residual(traj, spec) <= 1e-7, name
 
     # multiplier product formula and P(t) periodicity on the four systems

@@ -85,17 +85,17 @@ def test_periodic_growing_json(tmp_path):
 
 def test_periodic_samples_are_those_of_the_trajectory(capsys, fd_growing):
     # norm_samples at 0, T/2, T, 3T/2, 2T and trajectory_samples on the
-    # P(t) grid, exactly as the [0, 2T] integration's extension gives them
+    # P(t) grid, exactly the states of the integrations over [0, T] (on the
+    # P(t) grid) and [T, 2T] (on a grid of 49 times)
     assert run_cli(["periodic", "--period", "pi", "--entry", *GROWING_ENTRIES,
                     "--format", "json"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
-    traj, T = fd_growing.trajectory, fd_growing.period
-    assert results["norm_samples"] == sum_norms(traj.adjoints_at(
-        [0.0, 0.5 * T, T, 1.5 * T, 2.0 * T])).tolist()
-    grid = fd_growing.sample_times.tolist()
+    first, second = fd_growing.trajectories
+    assert results["norm_samples"] == sum_norms(np.concatenate([
+        first.adjoints[[0, 16, 32]], second.adjoints[[24, 48]]])).tolist()
     assert results["trajectory_samples"] == [
-        [t] + state.ravel().tolist()
-        for t, state in zip(grid, quaternion_data(traj.adjoints_at(grid)))]
+        [t] + state.ravel().tolist() for t, state in zip(
+            first.times.tolist(), quaternion_data(first.adjoints))]
 
 
 def test_periodic_text_and_json_agree(capsys, tmp_path):
@@ -610,6 +610,29 @@ def test_nonfinite_constant_entry_is_a_numerical_failure(capsys, entry):
     assert out == ""
     assert err.splitlines() == [
         "numerical failure: LinAlgError: Array must not contain infs or NaNs"]
+
+
+# 3x3 quaternion matrices with entries near the float limit, whose adjoint
+# eigenvalues overflow (or come back nan)
+NEAR_FLOAT_LIMIT = np.random.default_rng(0).uniform(
+    -1, 1, (12, 3, 3, 4)) * 1.6e308
+
+
+@pytest.mark.parametrize("draw", range(len(NEAR_FLOAT_LIMIT)))
+def test_constant_near_the_float_limit_is_a_numerical_failure(capsys, draw):
+    args = ["constant"]
+    for row in NEAR_FLOAT_LIMIT[draw].tolist():
+        args += ["--entry", *(f"({a!r} + {b!r}*i + {c!r}*j + {d!r}*k)"
+                              for a, b, c, d in row)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(args)
+    assert code == 3
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: ")
 
 
 def test_console_script_entry_point():

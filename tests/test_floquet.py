@@ -11,9 +11,10 @@ from qfloquet.floquet import (P_SAMPLE_COUNT, NotPeriodic, Stability,
                               classify_periodic, exponent_sum_residual,
                               monodromy, normal_form, periodic_solutions,
                               multiplier_product_check)
-from qfloquet.integrate import IntegratorConfig, integrate
+from qfloquet.integrate import IntegratorConfig, integrate, integrate_batch
 from qfloquet.qmatrix import (QMatrix, StandardSpectrum, SpectrumEntry, inv,
-                              expm, from_adjoint, standard_eigenvalues)
+                              expm, from_adjoint, standard_eigenvalues,
+                              sum_norms)
 from qfloquet.quaternion import K, Quaternion, qexp, standardize
 
 from conftest import (CONST_DECAYING_2X2, CONST_DEFECTIVE_3X3,
@@ -168,9 +169,15 @@ def test_normal_form_samples_are_adjoint_stacks(fd_growing,
     assert fd.sample_times.tolist() == np.linspace(
         0.0, fd.period, P_SAMPLE_COUNT).tolist()
     assert fd.P_samples.shape == (P_SAMPLE_COUNT, 4, 4)
-    assert fd.M_samples.shape == (2 * P_SAMPLE_COUNT, 4, 4)
-    last = from_adjoint(fd.M_samples[P_SAMPLE_COUNT - 1], project=False)
-    assert np.array_equal(fd.monodromy.top, last.top)
+    # M(t) on each period's grid, the states of its integration; M(T) is
+    # the last sample on [0, T]
+    first, second = fd.trajectories
+    assert first.times.tolist() == fd.sample_times.tolist()
+    assert first.adjoints.shape == (P_SAMPLE_COUNT, 4, 4)
+    assert second.times.tolist() == np.linspace(fd.period, 2 * fd.period,
+                                                49).tolist()
+    assert second.adjoints.shape == (49, 4, 4)
+    assert np.array_equal(fd.monodromy.top, first.final.top)
     # `monodromy` integrates [0, T] alone, as a batch of one
     alone = integrate(periodic_growing_spec, 0.0, fd.period,
                       QMatrix.identity(2)).final
@@ -184,12 +191,51 @@ def test_normal_form_marginal(fd_marginal):
 
 def test_normal_form_reconstructs_fundamental_matrix(fd_growing):
     # M(t) = P(t) e^{tB} at every stored sample
-    for t, chi in zip(fd_growing.sample_times.tolist(),
-                      fd_growing.P_samples):
+    for t, chi, M_chi in zip(fd_growing.sample_times.tolist(),
+                             fd_growing.P_samples,
+                             fd_growing.trajectories[0].adjoints):
         P = from_adjoint(chi, project=False)
-        M_t = fd_growing.trajectory.matrix_at(t)
+        M_t = from_adjoint(M_chi, project=False)
         assert (P @ expm(fd_growing.B * t) - M_t).sum_norm() < 1e-7 * max(
             1.0, M_t.sum_norm())
+
+
+def _fast_coefficient_spec(seed):
+    """A seeded 2x2 system C0 + C1 cos(40t) of period pi, whose natural
+    step at rel_tol 1e-10 lies below a sixteenth of the sample spacing."""
+    rng = np.random.default_rng(seed)
+
+    def literal(low, high):
+        parts = rng.uniform(low, high, 4).tolist()
+        return "(" + " + ".join(f"{x!r}*{unit}" for x, unit in zip(
+            parts, ("1", "i", "j", "k"))) + ")"
+    return MatrixSpec.from_strings(
+        [[f"{literal(-0.5, 0.5)} + {literal(-1, 1)}*cos(40*t)"
+          for _ in range(2)] for _ in range(2)], period=math.pi)
+
+
+def test_periodicity_defect_sees_the_integration_error(monkeypatch):
+    # the second period's steps never have the length of one of the
+    # first's, so the periodicity defect (relative to max ||P||, as the
+    # check reads it) is at least half the relative error of M(T) against a
+    # tight reference.  A second-period grid at half the sample spacing
+    # would repeat the first period's steps here, and its defect sees
+    # rounding alone
+    from qfloquet import floquet
+    spec = _fast_coefficient_spec(6)
+    (reference,) = integrate_batch(spec, 0.0, math.pi, QMatrix.identity(2),
+                                   None, IntegratorConfig(rel_tol=1e-13,
+                                                          abs_tol=1e-15))
+
+    def defect_and_error():
+        fd = normal_form(spec, IntegratorConfig(rel_tol=1e-10))
+        return (fd.periodicity_residual / sum_norms(fd.P_samples).max(),
+                (fd.monodromy - reference).sum_norm() / reference.sum_norm())
+    defect, error = defect_and_error()
+    assert defect >= 0.5 * error > 0.0
+    monkeypatch.setattr(floquet, "SECOND_PERIOD_SAMPLES", 64)
+    defect, error = defect_and_error()
+    assert defect < 0.1 * error
 
 
 # -- classification ----------------------------------------------------------------
@@ -382,11 +428,12 @@ def test_norm_growth_corroborates_verdicts(periodic_growing_spec,
     # heuristic cross-check: sample ||M(t)|| over 40 periods
     cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
     horizon = 40.0 * math.pi
-    samples = np.linspace(0.0, horizon, 81)
 
     def norms(spec):
-        traj = integrate(spec, 0.0, horizon, QMatrix.identity(2), cfg)
-        return [traj.matrix_at(float(t)).sum_norm() for t in samples]
+        # at 81 equally spaced times
+        traj = integrate(spec, 0.0, horizon, QMatrix.identity(2), cfg,
+                         samples=80)
+        return sum_norms(traj.adjoints).tolist()
 
     growing = norms(periodic_growing_spec)
     assert max(growing) > 10.0 * growing[0]

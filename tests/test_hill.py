@@ -224,6 +224,27 @@ def test_real_specialization_agrees_with_multipliers():
                 Stability.STABLE, Stability.ASYMPTOTICALLY_STABLE)
 
 
+# |tr M(T)| = 2 for a(t) = p + 0.5 cos 2t (period pi) at p = TONGUE_EDGE, by
+# bisection; below it the multipliers lie on the unit circle, above it off
+TONGUE_EDGE = 0.7424288259912871
+
+
+@pytest.mark.parametrize("distance", [1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
+def test_real_specialization_never_contradicts_at_a_tongue_edge(distance):
+    # within TRACE_TOL of -2 and M(T) != -I, the trace cannot tell a Jordan
+    # block from multipliers on the circle: classify_real says UNDETERMINED
+    # there, never the opposite of the multiplier verdict; from 1e-6 on
+    # the trace leaves the band and the two agree
+    a = parse("p + 0.5*cos(2*t)", ("t", "p"))
+    for p, multipliers in ((TONGUE_EDGE - distance, Stability.STABLE),
+                           (TONGUE_EDGE + distance, Stability.UNSTABLE)):
+        problem = HillProblem(a, math.pi, {"p": p})
+        assert analyze(problem).verdict_multipliers.kind == multipliers
+        expected = (multipliers if distance >= 1e-6
+                    else Stability.UNDETERMINED)
+        assert classify_real(problem).kind == expected
+
+
 def test_hill_problem_requires_periodic_coefficient():
     with pytest.raises(ValueError):
         HillProblem(parse("cos(t)"), math.pi)

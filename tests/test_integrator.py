@@ -21,6 +21,9 @@ integrate_module = importlib.import_module("qfloquet.integrate")
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 REFERENCE = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
+# sample intervals of a run whose states are checked along the way: 32
+# interior sample times
+ALONG = 33
 
 
 def growing_periodic_spec():
@@ -36,7 +39,7 @@ def known_monodromy():
 
 
 def qdets(traj):
-    """qdet(M(t_s)) at each accepted step, from the trajectory's stack."""
+    """qdet(M(t_s)) at each sample time, from the trajectory's stack."""
     return [qdet(from_adjoint(chi, project=False)) for chi in traj.adjoints]
 
 
@@ -66,14 +69,15 @@ def test_liouville_zero_trace_system():
     spec = MatrixSpec.from_strings(
         [["0", "1"], ["-(2 + j*cos(2*t)^2 + k*sin(2*t))", "0"]],
         period=math.pi)
-    traj = integrate(spec, 0.0, math.pi, QMatrix.identity(2))
+    traj = integrate(spec, 0.0, math.pi, QMatrix.identity(2), samples=ALONG)
     assert max(abs(det - 1.0) for det in qdets(traj)) <= 1e-8
     assert liouville_residual(traj, spec) <= 1e-8
 
 
 def test_liouville_growing_system():
     spec = growing_periodic_spec()
-    traj = integrate(spec, 0.0, math.pi, QMatrix.identity(2), TIGHT)
+    traj = integrate(spec, 0.0, math.pi, QMatrix.identity(2), TIGHT,
+                     samples=ALONG)
     assert liouville_residual(traj, spec) <= 1e-7
 
 
@@ -115,12 +119,13 @@ def test_trace_integral_fails_loudly_on_a_pole():
 
 @pytest.mark.parametrize("name", ["growing", "defective", "marginal", "decaying"])
 def test_liouville_on_normal_form_trajectories(name, request):
-    # the [0, 2T] trajectories behind the reports; qdet reaches e^(4 pi) on
-    # the growing system, so the bound scales with the largest qdet
+    # the [0, T] and [T, 2T] trajectories behind the reports, 31 and 47
+    # interior samples; qdet reaches e^(4 pi) on the growing system, so the
+    # bound scales with the largest qdet
     spec = request.getfixturevalue(f"periodic_{name}_spec")
-    traj = request.getfixturevalue(f"fd_{name}").trajectory
-    largest = max(qdets(traj))
-    assert liouville_residual(traj, spec) <= 1e-7 * max(1.0, largest)
+    for traj in request.getfixturevalue(f"fd_{name}").trajectories:
+        largest = max(qdets(traj))
+        assert liouville_residual(traj, spec) <= 1e-7 * max(1.0, largest)
 
 
 def _full_row(row, length):
@@ -136,10 +141,11 @@ def test_dop853_tableau_matches_scipy():
     reference = pytest.importorskip(
         "scipy.integrate._ivp.dop853_coefficients")
     method = integrate_module._DOP853
-    # stages: the step's 12, f(t + h, y_new), then the extension's 3
+    # the step's 12 stages; SciPy's tableau adds f(t + h, y_new) and the
+    # continuous extension's 3 stages, which qfloquet does not compute
     c = method.c.ravel().tolist()
-    assert c == reference.C.tolist()
-    rows = method.a + method.err + method.dense
+    assert c == reference.C[:12].tolist()
+    rows = method.a + method.err
     # each row keeps its nonzero weights alone, in stage order
     for row in rows:
         stages = [stage for stage, _ in row]
@@ -147,15 +153,14 @@ def test_dop853_tableau_matches_scipy():
         assert all(weight != 0.0 for _, weight in row)
     for s, row in enumerate(method.a, 1):
         assert _full_row(row, s) == reference.A[s, :s].tolist()
-        # c_i is the sum of row i
-        assert abs(sum(weight for _, weight in row) - c[s]) <= 1e-14
-    assert _full_row(method.a[method.last - 1], method.last) == \
-        reference.B.tolist()
-    err5, err3 = (_full_row(row, method.last + 1) for row in method.err)
+        # c_i is the sum of row i, and 1 that of b, the last row
+        assert abs(sum(weight for _, weight in row)
+                   - (c + [1.0])[s]) <= 1e-14
+    assert _full_row(method.a[-1], len(c)) == reference.B.tolist()
+    # SciPy's error rows give f(t + h, y_new) a zero weight
+    err5, err3 = (_full_row(row, len(c) + 1) for row in method.err)
     assert err5 == reference.E5.tolist()
     assert err3 == reference.E3.tolist()
-    assert [_full_row(row, len(c)) for row in method.dense] == \
-        reference.D.tolist()
 
 
 @pytest.mark.parametrize("members", [1, 16])
@@ -171,7 +176,7 @@ def test_stage_sum_matches_a_reduction(members):
                    for length in (1, 3, 8, 16) for _ in range(4)]
     random_rows += [[0.0, 0.0, 2.5], [1.5, 0.0, 0.0], [0.0, -0.75]]
     rows = [_full_row(row, row[-1][0] + 1)
-            for row in method.a + method.err + method.dense]
+            for row in method.a + method.err]
     out, scratch = np.empty_like(K[0]), np.empty_like(K[0])
     for weights in rows + [row for row in random_rows if np.any(row)]:
         (row,) = integrate_module._weights(weights)
@@ -197,39 +202,58 @@ def test_rk4_order_convergence():
 def test_semigroup_consistency():
     spec = growing_periodic_spec()
     rng = np.random.default_rng(31)
-    t_star = float(rng.uniform(0.3, 2.5))
-    full = integrate(spec, 0.0, math.pi, QMatrix.identity(2))
-    mid = full.matrix_at(t_star)
-    restarted = integrate(spec, t_star, math.pi, mid)
+    full = integrate(spec, 0.0, math.pi, QMatrix.identity(2), samples=ALONG)
+    k = int(rng.integers(3, ALONG - 3))
+    mid = from_adjoint(full.adjoints[k], project=False)
+    restarted = integrate(spec, float(full.times[k]), math.pi, mid)
     assert (restarted.final - full.final).sum_norm() <= 1e-8
 
 
 def test_qdet_positive_along_flow():
     spec = growing_periodic_spec()
-    traj = integrate(spec, 0.0, math.pi, QMatrix.identity(2))
+    traj = integrate(spec, 0.0, math.pi, QMatrix.identity(2), samples=ALONG)
     assert all(det > 0 for det in qdets(traj))
 
 
-def test_continuous_extension_matches_integrations_to_each_time():
-    # M(t) read from the extension of the [0, 2T] steps against integrations
-    # that end at t; M grows to about 600 in the sum norm
+def test_samples_match_integrations_to_each_time():
+    # M(t) at the sample times of a [0, 2T] run against integrations that
+    # end at t; M grows to about 600 in the sum norm
     spec = growing_periodic_spec()
-    traj = integrate(spec, 0.0, 2 * math.pi, QMatrix.identity(2))
-    rng = np.random.default_rng(53)
-    for t in rng.uniform(0.0, 2 * math.pi, 50):
-        direct = integrate(spec, 0.0, float(t), QMatrix.identity(2)).final
-        assert ((traj.matrix_at(float(t)) - direct).sum_norm()
+    traj = integrate(spec, 0.0, 2 * math.pi, QMatrix.identity(2),
+                     samples=50)
+    for t, chi in zip(traj.times.tolist(), traj.adjoints):
+        if t == 0.0:
+            continue
+        direct = integrate(spec, 0.0, t, QMatrix.identity(2)).final
+        assert ((from_adjoint(chi, project=False) - direct).sum_norm()
                 <= 1e-9 * max(1.0, direct.sum_norm()))
 
 
-def test_trajectory_states_are_one_stack_the_extension_starts_from():
-    # x = 0 leaves each step's start state, bit for bit
+def test_trajectory_states_are_one_stack():
+    # M0 first, then M at each sample time, the last of which is `final`
     traj = integrate(growing_periodic_spec(), 0.0, 2 * math.pi,
-                     QMatrix.identity(2))
-    assert traj.adjoints.shape == (len(traj.times), 4, 4)
-    assert np.array_equal(traj.adjoints_at(traj.times[:-1]),
-                          traj.adjoints[:-1])
+                     QMatrix.identity(2), samples=ALONG)
+    assert traj.times.tolist() == np.linspace(0.0, 2 * math.pi,
+                                              ALONG + 1).tolist()
+    assert traj.adjoints.shape == (ALONG + 1, 4, 4)
+    assert np.array_equal(traj.adjoints[0], np.eye(4))
     assert np.array_equal(traj.final.top, traj.adjoints[-1, :2])
+
+
+def test_steps_coarsen_on_the_sample_lattice():
+    # every step is the sample spacing, 1 here, over a power of 2.  A
+    # narrow bump at t = 1 shrinks the step, and past it the member
+    # coarsens as far as its position allows.  Without a window's stop on
+    # the coarser lattice, 64-step windows from an odd multiple of a fine
+    # step would keep that step: 2,098 accepted steps instead of 294
+    spec = MatrixSpec.from_strings([["exp(-100*(t-1)^2)*(3 + 2*i)"]])
+    traj = integrate(spec, 0.0, 64.0, QMatrix.identity(1), samples=64)
+    assert traj.counts.accepted <= 400
+    # M(t) = exp((3 + 2i) * integral of the bump from 0 to t)
+    for t, chi in zip(traj.times.tolist(), traj.adjoints):
+        exact = np.exp((3 + 2j) * math.sqrt(math.pi) / 20
+                       * (math.erf(10 * (t - 1)) + math.erf(10)))
+        assert abs(chi[0, 0] - exact) <= 1e-9 * abs(exact)
 
 
 @pytest.mark.parametrize("params", [{}, {"p": 1.1}, {"p": [1.1]}])
@@ -244,43 +268,35 @@ def test_scalar_or_no_parameters_make_a_batch_of_one(params):
     assert np.array_equal(batch.top, alone.final.top)
 
 
-def test_dense_output_interpolation():
-    spec = growing_periodic_spec()
-    traj = integrate(spec, 0.0, math.pi, QMatrix.identity(2))
-    probe = 1.2345
-    reference = integrate(spec, 0.0, probe, QMatrix.identity(2)).final
-    interpolated = traj.matrix_at(probe)
-    assert (interpolated - reference).sum_norm() < 1e-7
-
-
 def test_normal_form_takes_few_steps(fd_growing):
     # a third of the 274 accepted steps a Dormand-Prince 5(4) pair takes
-    # here at the same tolerances (it takes 47)
-    assert len(fd_growing.trajectory.times) - 1 <= 274 // 3
+    # here at the same tolerances over [0, 2T] (it takes 32 + 48)
+    assert sum(traj.counts.accepted
+               for traj in fd_growing.trajectories) <= 274 // 3
 
 
 def test_normal_form_evaluates_a_once_per_window(fd_growing):
     # A(t) is evaluated once per window of steps, with no pass at t0 (the
-    # first window's stage 0 is A(t0)): the growing fixture's [0, 2T]
-    # integration takes 53 steps in 2 calls, a one-step window that sizes
-    # the step and one window for the rest
-    counts = fd_growing.trajectory.counts
-    assert counts.accepted == len(fd_growing.trajectory.times) - 1
-    assert counts.trials >= counts.accepted
-    # a window holds at most WINDOW trial steps
-    windows = math.ceil(counts.trials / integrate_module.WINDOW)
-    assert windows < counts.coefficient_calls == 2
+    # first window's stage 0 is A(t0)): each period takes 2 calls, a
+    # one-step window that tries the sample spacing and one window for the
+    # rest
+    for traj, samples in zip(fd_growing.trajectories, (32, 48)):
+        counts = traj.counts
+        assert len(traj.times) == samples + 1
+        assert counts.trials >= counts.accepted >= samples
+        # a window holds at most WINDOW trial steps
+        windows = math.ceil(counts.trials / integrate_module.WINDOW)
+        assert windows < counts.coefficient_calls == 2
 
 
-@pytest.mark.parametrize("cfg, batch, dense", [
-    (IntegratorConfig(), 12, 16),
-    (IntegratorConfig(method="rk4", rk4_step=0.3), 4, 5)])
-def test_stage_times_per_step(cfg, batch, dense, monkeypatch):
-    # without a continuous extension a step evaluates the method's own
-    # stages alone, DOP853's 12 or RK4's 4; `integrate` adds the stage at
-    # the step's end and DOP853's 3 extension stages.  Every call is a
-    # window's grid of times, one row per stage and one column per step of
-    # a member
+@pytest.mark.parametrize("cfg, stages", [
+    (IntegratorConfig(), 12),
+    (IntegratorConfig(method="rk4", rk4_step=0.3), 4)])
+def test_stage_times_per_step(cfg, stages, monkeypatch):
+    # a step evaluates the method's own stages alone, DOP853's 12 or RK4's
+    # 4, on every path: a batch, and `integrate` with or without samples.
+    # Every call is a window's grid of times, one row per stage and one
+    # column per step of a member
     spec = MatrixSpec.from_strings([["0", "1"], ["-(p + j*cos(2*t))", "0"]],
                                    variables=("t", "p"), period=math.pi)
     shapes = []
@@ -289,17 +305,21 @@ def test_stage_times_per_step(cfg, batch, dense, monkeypatch):
         shapes.append(np.shape(t)), adjoint(t, params))[1])
     integrate_batch(spec, 0.0, math.pi, QMatrix.identity(2),
                     {"p": [0.5, 2.0]}, cfg)
-    assert {(len(shape), shape[0]) for shape in shapes} == {(2, batch)}
+    assert {(len(shape), shape[0]) for shape in shapes} == {(2, stages)}
     # the batch evaluates each member's own trial steps, and no step past
     # them for a member that takes fewer in a window
     pairs = sum(shape[1] for shape in shapes)
     trials = []
     for p in (0.5, 2.0):
-        shapes.clear()
-        traj = integrate(spec, 0.0, math.pi, QMatrix.identity(2), cfg,
-                         {"p": p})
-        assert {(len(shape), shape[0]) for shape in shapes} == {(2, dense)}
-        trials.append(traj.counts.trials)
+        for samples in (None, 32):
+            shapes.clear()
+            traj = integrate(spec, 0.0, math.pi, QMatrix.identity(2), cfg,
+                             {"p": p}, samples)
+            assert {(len(shape), shape[0]) for shape in shapes} == \
+                {(2, stages)}
+            assert sum(shape[1] for shape in shapes) == traj.counts.trials
+            if samples is None:
+                trials.append(traj.counts.trials)
     assert pairs == sum(trials)
 
 
@@ -373,14 +393,17 @@ def test_shape_validation():
         integrate(spec, 0.0, 1.0, QMatrix.identity(3))
     with pytest.raises(ValueError):
         integrate(spec, 1.0, 1.0, QMatrix.identity(2))
+    for samples in (0, 2.0):
+        with pytest.raises(ValueError):
+            integrate(spec, 0.0, 1.0, QMatrix.identity(2), samples=samples)
 
 
 def test_liouville_relative_to_expected_determinant(fd_growing,
                                                     periodic_growing_spec):
     # qdet grows to e^(4 pi) over [0, 2 pi]; each deviation is measured
     # against the determinant the volume law expects at that sample
-    traj = fd_growing.trajectory
-    assert liouville_residual(traj, periodic_growing_spec) <= 1e-7
+    for traj in fd_growing.trajectories:
+        assert liouville_residual(traj, periodic_growing_spec) <= 1e-7
 
 
 def test_step_budget_fails_loudly(monkeypatch):
@@ -426,7 +449,7 @@ def test_overflow_mid_window_ends_its_member():
 
 
 def test_integrate_and_batch_take_the_same_steps():
-    # the continuous extension's extra stages do not change a step
+    # without samples, `integrate` takes each member's batch steps
     spec = MatrixSpec.from_strings(
         [["0", "1"], ["-(p + 0.7*j*cos(2*t) - 0.4*k*sin(2*t))", "0"]],
         variables=("t", "p"), period=math.pi)
