@@ -103,7 +103,7 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     method: str = "dop853"        # "dop853" or "rk4"
-    rk4_step: float = 1e-2        # used only by the fixed-step method
+    rk4_step: float = 1e-2        # RK4's step or, with samples, its bound
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
@@ -392,9 +392,10 @@ def _run(coefficients, t0, t1, y0, cfg, samples=None):
 
     Without `samples`, time counts from t0, steps are free, and a window
     that reaches t1 is shortened to equal steps that end exactly there.
-    With `samples`, time counts units of the sample spacing from t0 and
-    every step is 2^-j units, j >= 0, so positions are exact and every
-    sample time is a step end.  A member coarsens only as far as its
+    With `samples`, time counts units from t0: the sample spacing, or for
+    RK4 the spacing over the fewest equal steps within rk4_step, which then
+    is RK4's step.  Every step is 2^-j units, j >= 0, so positions are exact
+    and every sample time is a step end.  A member coarsens only as far as its
     position is a multiple of the coarser step, and a window that wants a
     coarser step stops where it may take it (else windows of 64 steps from
     an odd multiple of a step end on one again, and the member keeps the
@@ -410,11 +411,12 @@ def _run(coefficients, t0, t1, y0, cfg, samples=None):
     """
     method = _RK4 if cfg.method == "rk4" else _DOP853
     span = t1 - t0
-    unit, end = (span / samples, samples) if samples else (1.0, span)
-    spacing = end / (samples or 1)
-    # the first trial step; with samples, the sample spacing
-    guess = 1.0 if samples else min(span / 100.0, 0.1)
-    first = guess if method.err else cfg.rk4_step / unit
+    per = 1 if method.err or not samples else math.ceil(
+        span / samples / cfg.rk4_step)
+    unit, end, spacing = ((span / samples / per, samples * per, per) if samples
+                          else (1.0, span, span))
+    first = (1.0 if samples else min(span / 100.0, 0.1) if method.err
+             else cfg.rk4_step)     # the first trial step
     outcomes = [None] * len(y0)
     trials, taken = (np.zeros(len(y0), dtype=int) for _ in range(2))
     states = np.empty((len(y0), (samples or 1) + 1) + y0.shape[1:],

@@ -46,7 +46,7 @@ def qdets(traj):
 def test_zero_field_is_constant():
     spec = MatrixSpec.from_strings([["0", "0"], ["0", "0"]])
     M0 = QMatrix.from_entries([[1, J], [K, 2]])
-    traj = integrate(spec, 0.0, 3.0, M0)
+    traj = integrate(spec, 0.0, 3.0, M0, samples=ALONG)
     assert allclose(traj.final, M0, 0.0)
     assert np.array_equal(traj.adjoints[0], adjoint(M0))
     assert liouville_residual(traj, spec) == 0.0
@@ -136,6 +136,40 @@ def _full_row(row, length):
     return weights
 
 
+def record_windows(monkeypatch):
+    """Spy on `_window` for a run of one member without samples, from t0 =
+    0: each window's start t, step h, step count n, step errors (None for
+    a fixed step), and accepted steps, the longest prefix of finite steps
+    within the tolerance."""
+    windows = []
+    window = integrate_module._window
+
+    def recording(*args):
+        result = window(*args)
+        (t,), (h,), (n,) = args[-4:-1]
+        _, _, err, finite = result
+        err = None if err is None else err[:n, 0]
+        within = finite[:n, 0] & (True if err is None else err <= 1.0)
+        windows.append((t, h, n, err,
+                        int(np.logical_and.accumulate(within).sum())))
+        return result
+    monkeypatch.setattr(integrate_module, "_window", recording)
+    return windows
+
+
+def check_step_ends(windows, t1):
+    """Each window starts where the previous one's accepted steps end, the
+    accepted step ends strictly increase, and the last window's steps are
+    all accepted and end exactly at t1."""
+    ends = [0.0]
+    for t, h, n, _, accepted in windows:
+        assert t == ends[-1]
+        ends += (t + h * np.arange(1, accepted + 1)).tolist()
+    assert np.all(np.diff(ends) > 0)
+    t, h, n, _, accepted = windows[-1]
+    assert accepted == n and ends[-1] == t1
+
+
 def test_dop853_tableau_matches_scipy():
     # transcribed from Hairer's code; SciPy's copy is only read here
     reference = pytest.importorskip(
@@ -197,6 +231,24 @@ def test_rk4_order_convergence():
         errors.append((sol - ref).sum_norm())
     for coarse, fine in zip(errors, errors[1:]):
         assert 12.0 <= coarse / fine <= 20.0
+
+
+def test_rk4_steps_split_the_sample_spacing_evenly():
+    # with samples, RK4 steps the spacing over the fewest equal steps within
+    # rk4_step: pi/32 over 10 for rk4_step = 0.01 and over 11 for 0.0098,
+    # not over the power of 2 that DOP853's steps take, 16 for both
+    spec = growing_periodic_spec()
+    for rk4_step, per in ((0.01, 10), (0.0098, 11)):
+        cfg = IntegratorConfig(method="rk4", rk4_step=rk4_step)
+        traj = integrate(spec, 0.0, math.pi, QMatrix.identity(2), cfg,
+                         samples=32)
+        assert traj.counts.accepted == traj.counts.trials == 32 * per
+    # the same steps as a run without samples whose rk4_step divides [0, pi]
+    cfg = IntegratorConfig(method="rk4", rk4_step=math.pi / 320)
+    sampled = integrate(spec, 0.0, math.pi, QMatrix.identity(2), cfg,
+                        samples=32).final
+    alone = integrate(spec, 0.0, math.pi, QMatrix.identity(2), cfg).final
+    assert (sampled - alone).sum_norm() <= 1e-12 * alone.sum_norm()
 
 
 def test_semigroup_consistency():
@@ -343,9 +395,9 @@ def test_last_window_ends_exactly_at_t1(cfg, tol, monkeypatch):
     adjoint = spec.adjoint
     monkeypatch.setattr(spec, "adjoint", lambda t, params=None: (
         latest.append(np.max(t)), adjoint(t, params))[1])
+    windows = record_windows(monkeypatch)
     traj = integrate(spec, 0.0, 2.9, QMatrix.identity(2), cfg)
-    assert traj.times[-1] == 2.9
-    assert np.all(np.diff(traj.times) > 0)
+    check_step_ends(windows, 2.9)
     assert max(latest) <= 2.9
     direct = integrate(spec, 0.0, 2.9, QMatrix.identity(2), REFERENCE).final
     assert (traj.final - direct).sum_norm() <= tol * direct.sum_norm()
@@ -355,18 +407,11 @@ def test_sharp_coefficient_rejects_steps_mid_window(monkeypatch):
     # a narrow bump at t = 1 rejects a step after earlier steps of its
     # window were accepted; M(t) = exp((3 + 2i) * integral of the bump)
     spec = MatrixSpec.from_strings([["exp(-100*(t-1)^2)*(3 + 2*i)"]])
-    errors = []     # each window's step errors
-    window = integrate_module._window
-
-    def recording(*args):
-        result = window(*args)
-        errors.append(result[2][:args[-2][0], 0])
-        return result
-    monkeypatch.setattr(integrate_module, "_window", recording)
+    windows = record_windows(monkeypatch)
     traj = integrate(spec, 0.0, 2.0, QMatrix.identity(1))
-    assert any(0 < np.argmax(~(err <= 1.0)) for err in errors)
+    assert any(0 < np.argmax(~(err <= 1.0)) for _, _, _, err, _ in windows)
     assert traj.counts.trials > traj.counts.accepted
-    assert np.all(np.diff(traj.times) > 0)
+    check_step_ends(windows, 2.0)
     reference = integrate(spec, 0.0, 2.0, QMatrix.identity(1), REFERENCE)
     assert (traj.final - reference.final).sum_norm() <= \
         1e-9 * reference.final.sum_norm()
