@@ -27,9 +27,9 @@ A compiled closure takes a float time and float parameters, or numpy arrays
 of times and parameter values, one element per member of a batch.  Its leaf
 functions (exp, cos, sin, hypot) are numpy's on both, and folding runs them
 too, so an element gets the same value alone or in any batch, and an
-overflow gives inf, never an exception.  `MatrixSpec.adjoint` evaluates a
-specification straight into the complex adjoint form the integrator steps,
-for one time or a batch.
+overflow gives inf, never an exception.  `MatrixSpec.tops` evaluates a
+specification straight into the real top rows the integrator steps, for one
+time or a batch.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmatrix import QMatrix, adjoints, top_rows
+from .qmatrix import QMatrix, real_rows, top_rows
 from .quaternion import (DivisionByZero, Quaternion, exp_components, hypot,
                          inverse_components, product)
 
@@ -582,13 +582,13 @@ class MatrixSpec:
         return QMatrix(np.array(values).reshape(self.n, self.n, 4))
 
     @functools.cached_property
-    def _adjoint_layout(self):
-        """(varying entry functions, basis) for `adjoint`.
+    def _tops_layout(self):
+        """(varying entry functions, basis) for `tops`.
 
-        The adjoint is linear in the entries: seen as a flat float array, it
-        is the components of the varying entries times the adjoints of unit
-        entries (the basis rows), plus 1 times the adjoint of the constant
-        entries (the last row).  The unit rows hold 0 and +-1 with one
+        The top rows are linear in the entries: seen as a flat array, they
+        are the components of the varying entries times the top rows of unit
+        entries (the basis rows), plus 1 times the top rows of the constant
+        entries (the last row).  The unit rows hold 0 and 1 with one
         nonzero per slot, so their part of the product is exact and each
         slot takes one rounding, its constant's addition; each member of a
         batch gets the same value in a batch of any size.
@@ -604,17 +604,18 @@ class MatrixSpec:
         shape = (-1, self.n, self.n, 4)
         rows = np.concatenate((np.eye(constant.size)[units],
                                constant.reshape(1, -1)))
-        basis = adjoints(top_rows(rows.reshape(shape))).view(float)
+        basis = real_rows(top_rows(rows.reshape(shape)))
         return varying, basis.reshape(len(rows), -1)
 
-    def adjoint(self, t, params=None):
-        """Complex adjoint of A(t) (see `qmatrix.adjoint`), shape (2n, 2n).
+    def tops(self, t, params=None):
+        """Real top rows of A(t)'s complex adjoint (see `qmatrix.real_rows`),
+        shape (n, 4n).
 
         With an array of times, and each parameter bound to an array of the
         same shape (one value per member of a batch), the result has shape
-        t.shape + (2n, 2n).
+        t.shape + (n, 4n).
         """
-        varying, basis = self._adjoint_layout
+        varying, basis = self._tops_layout
         shape = np.shape(t)
         values = np.empty((len(basis),) + shape)
         for column, fn in enumerate(varying):
@@ -622,7 +623,7 @@ class MatrixSpec:
                 values[4 * column + offset] = value
         values[-1] = 1.0
         flat = values.reshape(len(values), math.prod(shape)).T @ basis
-        return flat.view(complex).reshape(shape + (2 * self.n, 2 * self.n))
+        return flat.reshape(shape + (self.n, 4 * self.n))
 
     def re_trace(self, t, params=None):
         """Re tr A(t), from the diagonal entries alone, as an array of t's

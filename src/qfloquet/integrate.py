@@ -2,14 +2,14 @@
 
 The right-hand side X -> A(t) X is real-linear, so classical Runge-Kutta
 order theory carries over to quaternion-valued states unchanged.  One core
-steps a (B, 2n, 2n) stack of complex adjoints (see `qmatrix.adjoint`): A is
-evaluated at all stage times of a window of steps in one array call
-(`MatrixSpec.adjoint`) and each stage is one batched matrix product.
-`integrate` runs it on one system and returns a Trajectory: M at equally
-spaced sample times, every one of them a step end, as one stack of
-adjoints.  `integrate_batch` returns M(t1) alone, for members that share
-A(t) but bind its parameters to different values; scalar values, or none,
-make a batch of one.  Nothing in qfloquet needs SciPy.
+steps a stack of B systems in real arithmetic: A is evaluated at all stage
+times of a window of steps in one array call (`MatrixSpec.tops`) and each
+stage is one batched real matrix product.  `integrate` runs it on one
+system and returns a Trajectory: M at equally spaced sample times, every
+one of them a step end, as one stack of complex adjoints (see
+`qmatrix.adjoint`).  `integrate_batch` returns M(t1) alone, for members
+that share A(t) but bind its parameters to different values; scalar
+values, or none, make a batch of one.  Nothing in qfloquet needs SciPy.
 
 The default method is DOP853, Dormand and Prince's adaptive 8th-order pair
 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5); a fixed-step
@@ -26,17 +26,33 @@ linear, a step's stages are propagators that do not depend on the state,
 so the stages of all the window's steps are built together; only the
 product of each step's propagator with the state is sequential.  In a
 batch, a window covers each member's own steps alone, and the local error
-estimates, which read the top block rows of their products, share one
-product per step.  Each weighted sum of stages is built in place over the
-row's nonzero weights.  The longest prefix of steps within the tolerance is
+estimates, which read the top rows of their products, share one product
+per step.  Each weighted sum of stages is built in place over the row's
+nonzero weights.  The longest prefix of steps within the tolerance is
 accepted, and the next step comes from the first rejected step's error or
-else from the window's largest.  A member's windows have one step until
-one is accepted, which sizes the step from the initial guess, and up to
-WINDOW steps from then on; every step of a window counts against
-MAX_STEPS, accepted or not.  With sample times, every step is the sample
-spacing over a power of 2 (see `_run`); without, a window that reaches t1
-is shortened to equal steps that end exactly there.  A is evaluated by the
-windows alone, with no separate pass at t0.
+else from the window's largest.  Every step of a window counts against
+MAX_STEPS, accepted or not.  Without sample times, a member's windows have
+one step until one is accepted, which sizes the step from the initial
+guess, and up to WINDOW steps from then on; a window that reaches t1 is
+shortened to equal steps that end exactly there.  With sample times, every
+step is the sample spacing over a power of 2 (see `_run`), and the first
+trial step, the spacing itself, is almost always accepted: so the first
+window holds up to WINDOW steps, and a window that accepts none is
+followed by one-step windows until one is accepted, which wastes at most
+samples - 1 trials, once.  A is evaluated by the windows alone, with no
+separate pass at t0.
+
+Every product is real.  The quaternion matrix with complex adjoint X + iY
+is held either as the real top rows [Re A1, Re A2, Im A1, Im A2] of the
+adjoint, an n x 4n array (`qmatrix.real_rows`), or as the real form
+[[X, Y], [-Y, X]], 4n x 4n; top rows times a real form are the top rows of
+the product (F. Zhang, "Quaternions and matrices of quaternions", Linear
+Algebra Appl. 251, 1997).  The stages h A_s, the stage sums, the step
+propagators and the error sums are top rows, so their weights are plain
+floats; the right factor of each product is lifted to its real form by one
+exact product with a constant +-1 map (`_lift`).  The states are real forms
+through the window and turn into complex adjoints once per window, where
+the samples are recorded.
 
 The integral of Re tr A behind Liouville's identity is a scalar quadrature:
 adaptive Gauss-Legendre on the compiled diagonal entries of the
@@ -55,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmatrix import adjoint, from_adjoint, sum_norms
+from .qmatrix import adjoint, adjoints, from_adjoint, real_rows
 
 
 # trace quadrature: accuracy target relative to max(1, integral of |Re tr A|),
@@ -66,11 +82,12 @@ TRACE_QUAD_POINTS = 10
 # relative rounding floor of a Gauss-Legendre sum
 _ROUNDING = 64 * np.finfo(float).eps
 # trial steps (accepted and rejected) one integration may take: over 40x the
-# most any test, demo or benchmark input needs (711, for a tight reference
-# integration across a sharp bump at rel_tol 1e-13, whose rejected steps
-# waste the rest of their windows; 641 for 40 periods of a paper system at
-# rel_tol 1e-8; benchmark inputs and demos need at most 63, a period on 48
-# sample intervals, in the first 150 units of seeds 11 and 4817)
+# most any test, demo or benchmark input needs that ends in time (711, for a
+# tight reference integration across a sharp bump at rel_tol 1e-13, whose
+# rejected steps waste the rest of their windows; 704 for 40 periods of a
+# paper system on 80 sample intervals at rel_tol 1e-8; benchmark inputs and
+# demos need at most 48, a period on 48 sample intervals, in the first 150
+# units and charts of seeds 11 and 4817)
 MAX_STEPS = 30_000
 # the most steps in one window (see above).  A sweep over 12, 24, 32, 48,
 # 64 and 96 on benchmark inputs (seed 11: 60 periodic systems, 12 Hill
@@ -78,7 +95,8 @@ MAX_STEPS = 30_000
 # periodic system's evaluations of A from 9.1 to 6.1, 5.1, 4.1, 4.0 and
 # 4.0 (from 48 on, 2 per period) and its report from 7.2 ms to 6.3, 6.0,
 # 5.8, 5.7 and 5.9 ms; a Hill chart took 4.7 ms at 12 and 4.5-4.7 ms at
-# the others
+# the others.  Since a first window on sample times holds WINDOW steps too,
+# a period whose first window is accepted takes 1 evaluation
 WINDOW = 64
 
 
@@ -153,8 +171,8 @@ def _method(c, a, b, err5=None, bhh=None):
 
 
 def _weights(*rows):
-    # complex, the type each weight takes in a product with a stage
-    return tuple(tuple((stage, np.complex128(weight))
+    # plain floats: the stages they weight are real top rows
+    return tuple(tuple((stage, float(weight))
                        for stage, weight in enumerate(row) if weight)
                  for row in rows)
 
@@ -226,7 +244,7 @@ def integrate(spec, t0, t1, M0, cfg=None, params=None, samples=None):
     def coefficients(members, t):
         nonlocal calls
         calls += 1
-        return spec.adjoint(t, params)
+        return spec.tops(t, params)
 
     (states,), (trials,), (accepted,) = _run(
         coefficients, t0, t1, adjoint(M0)[None], cfg, samples)
@@ -264,7 +282,7 @@ def integrate_batch(spec, t0, t1, M0, params, cfg=None):
     params, size = batch_params(params)
 
     def coefficients(members, t):
-        return spec.adjoint(t, {name: values[members]
+        return spec.tops(t, {name: values[members]
                                 for name, values in params.items()})
 
     y0 = np.broadcast_to(adjoint(M0), (size,) + (2 * spec.n,) * 2)
@@ -281,6 +299,45 @@ def _check_shapes(spec, t0, t1, M0):
         raise ValueError("t1 must exceed t0")
 
 
+@functools.cache
+def _lift_map(n):
+    """The constant map, as a (4n^2, 16n^2) matrix, from flattened real top
+    rows to the flattened real form [[X, Y], [-Y, X]] of their adjoint
+    X + iY.  Each column holds one entry, 1 or -1, so a product with it is
+    exact."""
+    basis = np.eye(4 * n * n).reshape(-1, n, 4 * n)
+    chi = adjoints(basis[..., :2 * n] + 1j * basis[..., 2 * n:])
+    lift = np.block([[chi.real, chi.imag], [-chi.imag, chi.real]])
+    lift = lift.reshape(len(basis), -1)
+    lift.flags.writeable = False
+    return lift
+
+
+def _lift(tops):
+    """The real forms, shaped (..., 4n, 4n), of the adjoints of (..., n, 4n)
+    real top rows: a product of top rows with a real form is the real top
+    rows of the product of their adjoints."""
+    n = tops.shape[-2]
+    return (tops.reshape(-1, 4 * n * n) @ _lift_map(n)).reshape(
+        tops.shape[:-2] + (4 * n, 4 * n))
+
+
+def _to_adjoints(forms):
+    """The complex adjoints, shaped (..., 2n, 2n), of (..., 4n, 4n) real
+    forms, read from their top rows [X, Y]."""
+    m = forms.shape[-1] // 2
+    return forms[..., :m, :m] + 1j * forms[..., :m, m:]
+
+
+def _sum_norms(tops):
+    """`qmatrix.sum_norms` of (..., n, 4n) real top rows, from complex
+    absolute values, which are finite wherever the modulus is."""
+    half = tops.shape[-1] // 2
+    parts = np.abs(tops[..., :half] + 1j * tops[..., half:])
+    moduli = np.abs(parts[..., :half // 2] + 1j * parts[..., half // 2:])
+    return moduli.sum(axis=(-2, -1))
+
+
 def _window(method, coefficients, cfg, t0, unit, end, members, t, h, n, y):
     """n trial steps of length h from t for each member, computed together
     (t and h count `unit`s of time from t0; no stage comes after `end`).
@@ -289,24 +346,26 @@ def _window(method, coefficients, cfg, t0, unit, end, members, t, h, n, y):
     a_sj K_j), and y_{w+1} = R_w y_w.  The stages are built for the window's
     (step, member) pairs alone, step by step: a member takes its own n of
     the W = max(n) steps, and one with fewer keeps its last state through
-    the rest.  Returns the states y_0 .. y_W; whether each member's state
-    and stage 0, h A(t), are finite at the window's start; each step's local
-    error relative to the tolerance (None for a fixed step); and whether
-    each step's end state is finite (steps on the first axis, members on
-    the second).  Entries past a member's n steps are not read.  Every
-    operation is elementwise or one product per matrix, so a member's
-    results do not depend on the rest of the batch.
+    the rest.  Every left factor is held as its real top rows (see
+    `qmatrix.real_rows`) and multiplied by the real form of the right factor
+    (`_lift`); the states y are real forms.  Returns the states y_0 .. y_W;
+    whether each member's state and stage 0, h A(t), are finite at the
+    window's start; each step's local error relative to the tolerance (None
+    for a fixed step); and whether each step's end state is finite (steps on
+    the first axis, members on the second).  Entries past a member's n steps
+    are not read.  Every operation is elementwise or one product per matrix,
+    so a member's results do not depend on the rest of the batch.
     """
     width, size = n.max(), len(n)
     step, member = np.nonzero(np.arange(width)[:, None] < n)
     bounds = np.searchsorted(step, np.arange(width + 1))
-    # h A at every stage time of the window, evaluated together, shaped
-    # (stages, pairs, 2n, 2n); stage by stage, K[s] = h A_s turns into the
-    # propagator K_s
+    # h A at every stage time of the window, evaluated together, as real
+    # top rows shaped (stages, pairs, n, 4n); stage by stage, K[s] = h A_s
+    # turns into the propagator K_s
     K = coefficients(members[member], t0 + unit * np.minimum(
         t[member] + (step + method.c) * h[member], end))
     K *= unit * h[member, None, None]
-    eye = np.eye(y.shape[-1], dtype=complex)
+    eye = np.eye(*K.shape[-2:])
     # the last row's I + sum_j b_j K_j is the step's propagator R, which
     # the states need after the loop, so it keeps its own buffer
     argument, scratch, R = (np.empty_like(K[0]) for _ in range(3))
@@ -316,8 +375,9 @@ def _window(method, coefficients, cfg, t0, unit, end, members, t, h, n, y):
                            scratch)
         total += eye
         if s < len(K):
-            np.matmul(K[s], total, out=K[s])
-    ys = np.empty((width + 1,) + y.shape, dtype=complex)
+            stages[s] = K[s] @ _lift(total)
+    R = _lift(R)
+    ys = np.empty((width + 1,) + y.shape)
     ys[0] = y
     for w, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         if hi - lo == size:
@@ -325,20 +385,20 @@ def _window(method, coefficients, cfg, t0, unit, end, members, t, h, n, y):
         else:
             ys[w + 1] = ys[w]
             ys[w + 1, member[lo:hi]] = R[lo:hi] @ ys[w, member[lo:hi]]
-    sizes = sum_norms(ys)
+    order = K.shape[-2]
+    sizes = _sum_norms(ys[..., :order, :])
     start = np.isfinite(sizes[0]) & np.isfinite(K[0, :size]).all(axis=(1, 2))
     err = None
     if method.err:
         # the error weights apply to each step's start state, and the
-        # estimates read their products' top block rows alone, so the top
-        # rows of the two error sums, stacked, are one product
-        half = y.shape[-1] // 2
-        weighted = np.empty((2,) + K.shape[1:], dtype=complex)
-        for row, out in zip(method.err, weighted):
-            _stage_sum(row, stages, out, scratch)
-        tops = weighted[:, :, :half].swapaxes(0, 1).reshape(K.shape[1:])
-        products = (tops @ ys[step, member]).reshape(-1, 2, half, 2 * half)
-        e5, e3 = sum_norms(products).T / (
+        # estimates read their products' top rows alone, so the two error
+        # sums, stacked, are one product
+        weighted = np.empty((len(step), 2) + K.shape[2:])
+        for e, row in enumerate(method.err):
+            _stage_sum(row, stages, weighted[:, e], scratch)
+        products = (weighted.reshape(len(step), 2 * order, -1)
+                    @ ys[step, member]).reshape(weighted.shape)
+        e5, e3 = _sum_norms(products).T / (
             cfg.abs_tol + cfg.rel_tol * np.maximum(sizes[step, member],
                                                    sizes[step + 1, member]))
         # Hairer's combination of the two estimates; 0 when both vanish
@@ -383,20 +443,24 @@ def _lattice(h, t, end):
 def _run(coefficients, t0, t1, y0, cfg, samples=None):
     """Integrate the stack y0 over [t0, t1] with per-member step control.
 
-    coefficients(members, t) is the stack of adjoints of A at the times t,
-    an array whose last axis runs over the batch members (indices) given;
-    its shape is t.shape + (2n, 2n).  Returns, per member, the stack of its
+    coefficients(members, t) is the stack of A's real top rows (see
+    `MatrixSpec.tops`) at the times t, an array whose last axis runs over the
+    batch members (indices) given; its shape is t.shape + (n, 4n).  y0 is a
+    stack of complex adjoints.  Returns, per member, the stack of its
     adjoints at t0 and t1, or with `samples` at the samples + 1 equally
     spaced times from t0 to t1, or else the ArithmeticError that ended it;
     and the arrays of trial and of accepted steps each member took.
 
-    Without `samples`, time counts from t0, steps are free, and a window
-    that reaches t1 is shortened to equal steps that end exactly there.
-    With `samples`, time counts units from t0: the sample spacing, or for
-    RK4 the spacing over the fewest equal steps within rk4_step, which then
-    is RK4's step.  Every step is 2^-j units, j >= 0, so positions are exact
-    and every sample time is a step end.  A member coarsens only as far as its
-    position is a multiple of the coarser step, and a window that wants a
+    Without `samples`, time counts from t0, steps are free, a member's
+    windows have one step until one is accepted, and a window that reaches
+    t1 is shortened to equal steps that end exactly there.  With `samples`,
+    the first window holds up to WINDOW steps, and a window that accepts no
+    step is followed by one-step windows until one is accepted; time counts
+    units from t0: the sample spacing, or for RK4 the spacing over the
+    fewest equal steps within rk4_step, which then is RK4's step.  Every
+    step is 2^-j units, j >= 0, so positions are exact and every sample
+    time is a step end.  A member coarsens only as far as its position is a
+    multiple of the coarser step, and a window that wants a
     coarser step stops where it may take it (else windows of 64 steps from
     an odd multiple of a step end on one again, and the member keeps the
     finer step for the whole run).
@@ -426,8 +490,7 @@ def _run(coefficients, t0, t1, y0, cfg, samples=None):
     members = np.arange(len(y0))
     t = np.zeros(len(y0))
     h = np.full(len(y0), first)
-    length = np.ones(len(y0), dtype=int)
-    y = np.asarray(y0)
+    length = np.full(len(y0), WINDOW if samples else 1)
 
     def retire(results):
         """Record {row: states or error} and drop those rows."""
@@ -448,6 +511,8 @@ def _run(coefficients, t0, t1, y0, cfg, samples=None):
                                end)
 
     with np.errstate(all="ignore"):
+        # the states as real forms; a non-finite y0 lifts to nan
+        y = _lift(real_rows(y0[..., :y0.shape[-1] // 2, :]))
         while len(members):
             budget, underflow = trials[members] == MAX_STEPS, h < 1e-13 * end
             arrived = t >= end - 1e-14 * end
@@ -502,9 +567,9 @@ def _run(coefficients, t0, t1, y0, cfg, samples=None):
             # an accepted step that ends on a sample time records its state
             w, row = np.nonzero((ahead < accepted) & (ends % spacing == 0.0))
             states[members[row], (ends[w, row] / spacing).astype(int)] = \
-                ys[w + 1, row]
+                _to_adjoints(ys[w + 1, row])
             t = np.where(accepted > 0, ends[accepted - 1, rows], t)
-            length = np.where(accepted > 0, WINDOW, length)
+            length = np.where(accepted > 0, WINDOW, 1 if samples else length)
             y = ys[accepted, rows]
             # the next step comes from the rejected step's error, or else the
             # window's largest; a nan error estimate shrinks the step

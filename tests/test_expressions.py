@@ -11,7 +11,7 @@ from qfloquet.expressions import (MAX_DEPTH, MAX_EXPONENT, REAL_ARG_TOL,
                                   Unit, UnknownIdentifier, Var, compile_expr,
                                   evaluate, grid_max, parse,
                                   quaternion_literal, render)
-from qfloquet.qmatrix import adjoint
+from qfloquet.qmatrix import real_rows
 from qfloquet.quaternion import DivisionByZero, I, J, K, Quaternion, qexp
 
 
@@ -148,13 +148,13 @@ def test_array_evaluation_matches_float_evaluation():
         variables=("t", "p"))
     t = np.array([[0.0, 0.4], [1.3, 2.9]])
     p = np.array([0.5, -1.5])
-    batch = spec.adjoint(t, {"p": p})
-    assert batch.shape == (2, 2, 4, 4)
+    batch = spec.tops(t, {"p": p})
+    assert batch.shape == (2, 2, 2, 8)
     for index in np.ndindex(t.shape):
-        single = adjoint(spec.evaluate(t[index], {"p": p[index[1]]}))
+        single = real_rows(spec.evaluate(t[index], {"p": p[index[1]]}).top)
         assert np.allclose(batch[index], single, rtol=1e-14, atol=1e-14)
-    assert np.array_equal(spec.adjoint(0.4, {"p": 0.5}),
-                          adjoint(spec.evaluate(0.4, {"p": 0.5})))
+    assert np.array_equal(spec.tops(0.4, {"p": 0.5}),
+                          real_rows(spec.evaluate(0.4, {"p": 0.5}).top))
 
 
 def test_array_evaluation_errors():

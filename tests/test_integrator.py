@@ -9,8 +9,8 @@ from qfloquet.integrate import (IntegratorConfig, NonFiniteState,
                                 QuadratureFailure, StepBudgetExceeded,
                                 StepUnderflow, integrate, integrate_batch,
                                 liouville_residual, trace_integral)
-from qfloquet.qmatrix import (QMatrix, adjoint, allclose, expm, from_adjoint,
-                              qdet)
+from qfloquet.qmatrix import (QMatrix, adjoint, adjoints, allclose, expm,
+                              from_adjoint, qdet, real_rows)
 from qfloquet.quaternion import DivisionByZero, J, K, Quaternion
 
 from conftest import CONST_DECAYING_2X2
@@ -137,10 +137,10 @@ def _full_row(row, length):
 
 
 def record_windows(monkeypatch):
-    """Spy on `_window` for a run of one member without samples, from t0 =
-    0: each window's start t, step h, step count n, step errors (None for
-    a fixed step), and accepted steps, the longest prefix of finite steps
-    within the tolerance."""
+    """Spy on `_window` for a run of one member from t0 = 0: each window's
+    start t and step h (in sample spacings with samples), step count n,
+    step errors (None for a fixed step), and accepted steps, the longest
+    prefix of finite steps within the tolerance."""
     windows = []
     window = integrate_module._window
 
@@ -219,6 +219,40 @@ def test_stage_sum_matches_a_reduction(members):
         result = integrate_module._stage_sum(row, K, out, scratch)
         assert result is out
         np.testing.assert_array_equal(result, expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_real_forms_multiply_like_adjoints(n):
+    # the stepping kernel's one product, on seeded stacks of 345: real top
+    # rows times the real form (`_lift`) of an adjoint's top rows
+    rng = np.random.default_rng([83, n])
+    left, right = rng.normal(size=(2, 345, n, 4 * n))
+    forms = integrate_module._lift(right)
+    # the lift copies each entry of the adjoint's real and imaginary parts
+    chi = adjoints(right[..., :2 * n] + 1j * right[..., 2 * n:])
+    assert np.array_equal(forms[..., :2 * n, :],
+                          np.concatenate((chi.real, chi.imag), axis=-1))
+    assert np.array_equal(forms[..., 2 * n:, :],
+                          np.concatenate((-chi.imag, chi.real), axis=-1))
+    # the product is the complex one written as reals, within a few ulps of
+    # the sum of its terms' moduli
+    product = left @ forms
+    expected = real_rows((left[..., :2 * n] + 1j * left[..., 2 * n:]) @ chi)
+    bound = 8 * n * np.finfo(float).eps * (np.abs(left) @ np.abs(forms))
+    assert np.all(np.abs(product - expected) <= bound)
+    # a member's product is the same, bit for bit, in a stack of any size
+    for members in (slice(100, 101), slice(100, 107)):
+        assert np.array_equal(
+            left[members] @ integrate_module._lift(right[members]),
+            product[members])
+    # a member with an inf or a nan stays non-finite, and the others keep
+    # their products
+    left[3, 0, 0], right[5, -1, -1] = np.inf, np.nan
+    with np.errstate(invalid="ignore"):
+        spoilt = left @ integrate_module._lift(right)
+    finite = np.isfinite(spoilt).all(axis=(1, 2))
+    assert np.flatnonzero(~finite).tolist() == [3, 5]
+    assert np.array_equal(spoilt[finite], product[finite])
 
 
 def test_rk4_order_convergence():
@@ -329,16 +363,15 @@ def test_normal_form_takes_few_steps(fd_growing):
 
 def test_normal_form_evaluates_a_once_per_window(fd_growing):
     # A(t) is evaluated once per window of steps, with no pass at t0 (the
-    # first window's stage 0 is A(t0)): each period takes 2 calls, a
-    # one-step window that tries the sample spacing and one window for the
-    # rest
+    # first window's stage 0 is A(t0)): each period takes 1 call, a full
+    # first window whose steps are the sample spacing
     for traj, samples in zip(fd_growing.trajectories, (32, 48)):
         counts = traj.counts
         assert len(traj.times) == samples + 1
         assert counts.trials >= counts.accepted >= samples
         # a window holds at most WINDOW trial steps
         windows = math.ceil(counts.trials / integrate_module.WINDOW)
-        assert windows < counts.coefficient_calls == 2
+        assert windows == counts.coefficient_calls == 1
 
 
 @pytest.mark.parametrize("cfg, stages", [
@@ -352,9 +385,9 @@ def test_stage_times_per_step(cfg, stages, monkeypatch):
     spec = MatrixSpec.from_strings([["0", "1"], ["-(p + j*cos(2*t))", "0"]],
                                    variables=("t", "p"), period=math.pi)
     shapes = []
-    adjoint = spec.adjoint
-    monkeypatch.setattr(spec, "adjoint", lambda t, params=None: (
-        shapes.append(np.shape(t)), adjoint(t, params))[1])
+    tops = spec.tops
+    monkeypatch.setattr(spec, "tops", lambda t, params=None: (
+        shapes.append(np.shape(t)), tops(t, params))[1])
     integrate_batch(spec, 0.0, math.pi, QMatrix.identity(2),
                     {"p": [0.5, 2.0]}, cfg)
     assert {(len(shape), shape[0]) for shape in shapes} == {(2, stages)}
@@ -392,9 +425,9 @@ def test_last_window_ends_exactly_at_t1(cfg, tol, monkeypatch):
     # neither step size divides [0, 2.9]; A is never evaluated past t1
     spec = growing_periodic_spec()
     latest = []
-    adjoint = spec.adjoint
-    monkeypatch.setattr(spec, "adjoint", lambda t, params=None: (
-        latest.append(np.max(t)), adjoint(t, params))[1])
+    tops = spec.tops
+    monkeypatch.setattr(spec, "tops", lambda t, params=None: (
+        latest.append(np.max(t)), tops(t, params))[1])
     windows = record_windows(monkeypatch)
     traj = integrate(spec, 0.0, 2.9, QMatrix.identity(2), cfg)
     check_step_ends(windows, 2.9)
@@ -418,6 +451,27 @@ def test_sharp_coefficient_rejects_steps_mid_window(monkeypatch):
     exact = np.exp((3 + 2j) * math.sqrt(math.pi) / 10 * math.erf(10))
     assert abs(complex(traj.final[0, 0].q0, traj.final[0, 0].q1)
                - exact) <= 1e-9 * abs(exact)
+
+
+def test_a_rejected_first_window_wastes_at_most_its_samples(monkeypatch):
+    # with samples, the first window tries every sample interval at once;
+    # here its first step is rejected, and one-step windows follow until a
+    # step is accepted.  From there the run is the one a one-step first
+    # window would have started, so the full window costs samples - 1
+    # trials more, once
+    spec = MatrixSpec.from_strings([["3*cos(40*t)*i + 2*j"]])
+    samples = 32
+    windows = record_windows(monkeypatch)
+    traj = integrate(spec, 0.0, math.pi, QMatrix.identity(1),
+                     samples=samples)
+    (t, h, n, _, accepted), *rest = windows
+    assert (t, h, n, accepted) == (0.0, 1.0, samples, 0)
+    assert rest[0][0] == 0.0
+    for (*_, accepted), (_, _, n, _, _) in zip(windows, rest):
+        assert n == 1 or accepted > 0
+    assert traj.counts.trials == sum(n for _, _, n, _, _ in windows)
+    assert traj.counts.accepted == 256
+    check_step_ends(windows, samples)
 
 
 def test_step_underflow_near_singularity():
