@@ -28,8 +28,9 @@ of times and parameter values, one element per member of a batch.  Its leaf
 functions (exp, cos, sin, hypot) are numpy's on both, and folding runs them
 too, so an element gets the same value alone or in any batch, and an
 overflow gives inf, never an exception.  `MatrixSpec.tops` evaluates a
-specification straight into the real top rows the integrator steps, for one
-time or a batch.
+specification straight into the top block rows [A1, A2] of its complex
+adjoint, the layout QMatrix stores and the integrator steps, for one time or
+a batch; `MatrixSpec.evaluate` wraps them in a QMatrix.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmatrix import QMatrix, real_rows, top_rows
+from .qmatrix import QMatrix, top_rows
 from .quaternion import (DivisionByZero, Quaternion, exp_components, hypot,
                          inverse_components, product)
 
@@ -544,9 +545,10 @@ class MatrixSpec:
     """Square grid of TimeExpr entries defining A(t), optionally periodic.
 
     The entries are compiled once, when the specification is built.
-    `evaluate` gives A(t) at one time as a QMatrix; `adjoint` gives its
-    complex adjoint and `re_trace` the real part of its trace, each for one
-    time or for a batch.  All three run the same numpy leaves.
+    `tops` gives the top block rows of A(t)'s complex adjoint and `re_trace`
+    the real part of its trace, each for one time or for a batch; `evaluate`
+    gives A(t) at one time as the QMatrix of its `tops`.  Both run the same
+    numpy leaves.
     """
 
     def __init__(self, entries, period=None):
@@ -557,6 +559,8 @@ class MatrixSpec:
                 raise ValueError("matrix specification must be square")
         if period is not None and not period > 0:
             raise ValueError("period must be positive")
+        if period is not None and not math.isfinite(period):
+            raise ValueError("period must be finite")
         self.period = period
         with np.errstate(all="ignore"):     # folds: see the comment above _Code
             self._codes = [_compile(entry) for row in self.entries
@@ -578,20 +582,20 @@ class MatrixSpec:
         return MatrixSpec(entries, period)
 
     def evaluate(self, t, params=None):
-        values = [f(t, params) for f in self._entry_fns]
-        return QMatrix(np.array(values).reshape(self.n, self.n, 4))
+        return QMatrix(top=self.tops(t, params))
 
     @functools.cached_property
     def _tops_layout(self):
         """(varying entry functions, basis) for `tops`.
 
-        The top rows are linear in the entries: seen as a flat array, they
-        are the components of the varying entries times the top rows of unit
-        entries (the basis rows), plus 1 times the top rows of the constant
-        entries (the last row).  The unit rows hold 0 and 1 with one
-        nonzero per slot, so their part of the product is exact and each
-        slot takes one rounding, its constant's addition; each member of a
-        batch gets the same value in a batch of any size.
+        The top rows are linear in the entries: seen as a flat array of
+        floats, real and imaginary parts interleaved, they are the
+        components of the varying entries times the top rows of unit entries
+        (the basis rows), plus 1 times the top rows of the constant entries
+        (the last row).  The unit rows hold 0 and 1 with one nonzero per
+        slot, so their part of the product is exact and each slot takes one
+        rounding, its constant's addition; each member of a batch gets the
+        same value in a batch of any size.
         """
         constant = np.zeros((self.n * self.n, 4))
         varying, units = [], []
@@ -604,16 +608,16 @@ class MatrixSpec:
         shape = (-1, self.n, self.n, 4)
         rows = np.concatenate((np.eye(constant.size)[units],
                                constant.reshape(1, -1)))
-        basis = real_rows(top_rows(rows.reshape(shape)))
+        basis = top_rows(rows.reshape(shape)).view(float)
         return varying, basis.reshape(len(rows), -1)
 
     def tops(self, t, params=None):
-        """Real top rows of A(t)'s complex adjoint (see `qmatrix.real_rows`),
-        shape (n, 4n).
+        """The top block row [A1, A2] of A(t)'s complex adjoint (the layout
+        of `QMatrix.top`), shape (n, 2n), complex.
 
         With an array of times, and each parameter bound to an array of the
         same shape (one value per member of a batch), the result has shape
-        t.shape + (n, 4n).
+        t.shape + (n, 2n).  It is one real product, read as complex.
         """
         varying, basis = self._tops_layout
         shape = np.shape(t)
@@ -623,7 +627,7 @@ class MatrixSpec:
                 values[4 * column + offset] = value
         values[-1] = 1.0
         flat = values.reshape(len(values), math.prod(shape)).T @ basis
-        return flat.reshape(shape + (self.n, 4 * self.n))
+        return flat.view(complex).reshape(shape + (self.n, 2 * self.n))
 
     def re_trace(self, t, params=None):
         """Re tr A(t), from the diagonal entries alone, as an array of t's

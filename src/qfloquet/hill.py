@@ -54,7 +54,8 @@ class HillProblem:
     params: dict = field(default=None, hash=False)
 
     def __post_init__(self):
-        # building the companion raises "period must be positive"
+        # building the companion raises "period must be positive" or
+        # "period must be finite"
         _check_coefficient(companion(self), self.params)
 
     @functools.cached_property

@@ -42,17 +42,20 @@ followed by one-step windows until one is accepted, which wastes at most
 samples - 1 trials, once.  A is evaluated by the windows alone, with no
 separate pass at t0.
 
-Every product is real.  The quaternion matrix with complex adjoint X + iY
-is held either as the real top rows [Re A1, Re A2, Im A1, Im A2] of the
-adjoint, an n x 4n array (`qmatrix.real_rows`), or as the real form
-[[X, Y], [-Y, X]], 4n x 4n; top rows times a real form are the top rows of
-the product (F. Zhang, "Quaternions and matrices of quaternions", Linear
-Algebra Appl. 251, 1997).  The stages h A_s, the stage sums, the step
-propagators and the error sums are top rows, so their weights are plain
-floats; the right factor of each product is lifted to its real form by one
-exact product with a constant +-1 map (`_lift`).  The states are real forms
-through the window and turn into complex adjoints once per window, where
-the samples are recorded.
+Every product is real, on arrays of floats read from complex ones by
+numpy's `view`, real and imaginary parts interleaved.  A quaternion matrix
+with complex adjoint chi (F. Zhang, "Quaternions and matrices of
+quaternions", Linear Algebra Appl. 251, 1997) is held either as the top
+block row [A1, A2] of chi that QMatrix stores, n x 2n complex and so
+n x 4n as floats, or as its real form, 4n x 4n: the rows of chi and of
+i chi interleaved, as floats.  Top rows times a real form are the top rows
+of the product of the adjoints, and real forms multiply like the adjoints.
+The stages h A_s, the stage sums, the step propagators and the error sums
+are top rows, so their weights are plain floats; the right factor of each
+product is lifted to its real form by one exact product with a constant
++-1 map (`_lift`).  The states are real forms, whose even rows are their
+adjoints: samples are recorded and sizes taken from those rows read as
+complex, with no arithmetic.
 
 The integral of Re tr A behind Liouville's identity is a scalar quadrature:
 adaptive Gauss-Legendre on the compiled diagonal entries of the
@@ -71,7 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmatrix import adjoint, adjoints, from_adjoint, real_rows
+from .qmatrix import adjoint, adjoints, from_adjoint, sum_norms
 
 
 # trace quadrature: accuracy target relative to max(1, integral of |Re tr A|),
@@ -171,7 +174,7 @@ def _method(c, a, b, err5=None, bhh=None):
 
 
 def _weights(*rows):
-    # plain floats: the stages they weight are real top rows
+    # plain floats: the stages they weight are top rows read as floats
     return tuple(tuple((stage, float(weight))
                        for stage, weight in enumerate(row) if weight)
                  for row in rows)
@@ -301,41 +304,24 @@ def _check_shapes(spec, t0, t1, M0):
 
 @functools.cache
 def _lift_map(n):
-    """The constant map, as a (4n^2, 16n^2) matrix, from flattened real top
-    rows to the flattened real form [[X, Y], [-Y, X]] of their adjoint
-    X + iY.  Each column holds one entry, 1 or -1, so a product with it is
-    exact."""
-    basis = np.eye(4 * n * n).reshape(-1, n, 4 * n)
-    chi = adjoints(basis[..., :2 * n] + 1j * basis[..., 2 * n:])
-    lift = np.block([[chi.real, chi.imag], [-chi.imag, chi.real]])
-    lift = lift.reshape(len(basis), -1)
+    """The constant map, as a (4n^2, 16n^2) matrix, from flattened top rows
+    read as floats to the flattened real form of their adjoint chi: the rows
+    of chi and of i chi, interleaved and read as floats.  Each column holds
+    one entry, 1 or -1, so a product with it is exact."""
+    chi = adjoints(np.eye(4 * n * n).reshape(-1, n, 4 * n).view(complex))
+    lift = np.stack((chi, 1j * chi), axis=-2).view(float)
+    lift = lift.reshape(len(chi), -1)
     lift.flags.writeable = False
     return lift
 
 
 def _lift(tops):
-    """The real forms, shaped (..., 4n, 4n), of the adjoints of (..., n, 4n)
-    real top rows: a product of top rows with a real form is the real top
-    rows of the product of their adjoints."""
+    """The real forms, shaped (..., 4n, 4n), of the adjoints of top rows
+    read as floats, shaped (..., n, 4n): a product of top rows with a real
+    form is the top rows of the product of their adjoints."""
     n = tops.shape[-2]
     return (tops.reshape(-1, 4 * n * n) @ _lift_map(n)).reshape(
         tops.shape[:-2] + (4 * n, 4 * n))
-
-
-def _to_adjoints(forms):
-    """The complex adjoints, shaped (..., 2n, 2n), of (..., 4n, 4n) real
-    forms, read from their top rows [X, Y]."""
-    m = forms.shape[-1] // 2
-    return forms[..., :m, :m] + 1j * forms[..., :m, m:]
-
-
-def _sum_norms(tops):
-    """`qmatrix.sum_norms` of (..., n, 4n) real top rows, from complex
-    absolute values, which are finite wherever the modulus is."""
-    half = tops.shape[-1] // 2
-    parts = np.abs(tops[..., :half] + 1j * tops[..., half:])
-    moduli = np.abs(parts[..., :half // 2] + 1j * parts[..., half // 2:])
-    return moduli.sum(axis=(-2, -1))
 
 
 def _window(method, coefficients, cfg, t0, unit, end, members, t, h, n, y):
@@ -346,26 +332,27 @@ def _window(method, coefficients, cfg, t0, unit, end, members, t, h, n, y):
     a_sj K_j), and y_{w+1} = R_w y_w.  The stages are built for the window's
     (step, member) pairs alone, step by step: a member takes its own n of
     the W = max(n) steps, and one with fewer keeps its last state through
-    the rest.  Every left factor is held as its real top rows (see
-    `qmatrix.real_rows`) and multiplied by the real form of the right factor
-    (`_lift`); the states y are real forms.  Returns the states y_0 .. y_W;
-    whether each member's state and stage 0, h A(t), are finite at the
-    window's start; each step's local error relative to the tolerance (None
-    for a fixed step); and whether each step's end state is finite (steps on
-    the first axis, members on the second).  Entries past a member's n steps
+    the rest.  Every left factor is held as its top rows read as floats and
+    multiplied by the real form of the right factor (`_lift`); the states y
+    are real forms, whose even rows are their adjoints.  Returns the states
+    y_0 .. y_W; whether each member's state and stage 0, h A(t), are finite
+    at the window's start; each step's local error relative to the
+    tolerance (None for a fixed step); and whether each step's end state is
+    finite (steps on the first axis, members on the second).  Entries past a member's n steps
     are not read.  Every operation is elementwise or one product per matrix,
     so a member's results do not depend on the rest of the batch.
     """
     width, size = n.max(), len(n)
     step, member = np.nonzero(np.arange(width)[:, None] < n)
     bounds = np.searchsorted(step, np.arange(width + 1))
-    # h A at every stage time of the window, evaluated together, as real
-    # top rows shaped (stages, pairs, n, 4n); stage by stage, K[s] = h A_s
-    # turns into the propagator K_s
+    # h A at every stage time of the window, evaluated together, as top
+    # rows read as floats, shaped (stages, pairs, n, 4n); stage by stage,
+    # K[s] = h A_s turns into the propagator K_s
     K = coefficients(members[member], t0 + unit * np.minimum(
-        t[member] + (step + method.c) * h[member], end))
+        t[member] + (step + method.c) * h[member], end)).view(float)
     K *= unit * h[member, None, None]
-    eye = np.eye(*K.shape[-2:])
+    order = K.shape[-2]
+    eye = np.eye(order, 2 * order, dtype=complex).view(float)
     # the last row's I + sum_j b_j K_j is the step's propagator R, which
     # the states need after the loop, so it keeps its own buffer
     argument, scratch, R = (np.empty_like(K[0]) for _ in range(3))
@@ -385,8 +372,7 @@ def _window(method, coefficients, cfg, t0, unit, end, members, t, h, n, y):
         else:
             ys[w + 1] = ys[w]
             ys[w + 1, member[lo:hi]] = R[lo:hi] @ ys[w, member[lo:hi]]
-    order = K.shape[-2]
-    sizes = _sum_norms(ys[..., :order, :])
+    sizes = sum_norms(ys[..., ::2, :].view(complex))
     start = np.isfinite(sizes[0]) & np.isfinite(K[0, :size]).all(axis=(1, 2))
     err = None
     if method.err:
@@ -398,7 +384,7 @@ def _window(method, coefficients, cfg, t0, unit, end, members, t, h, n, y):
             _stage_sum(row, stages, weighted[:, e], scratch)
         products = (weighted.reshape(len(step), 2 * order, -1)
                     @ ys[step, member]).reshape(weighted.shape)
-        e5, e3 = _sum_norms(products).T / (
+        e5, e3 = sum_norms(products.view(complex)).T / (
             cfg.abs_tol + cfg.rel_tol * np.maximum(sizes[step, member],
                                                    sizes[step + 1, member]))
         # Hairer's combination of the two estimates; 0 when both vanish
@@ -443,9 +429,9 @@ def _lattice(h, t, end):
 def _run(coefficients, t0, t1, y0, cfg, samples=None):
     """Integrate the stack y0 over [t0, t1] with per-member step control.
 
-    coefficients(members, t) is the stack of A's real top rows (see
+    coefficients(members, t) is the stack of A's top block rows (see
     `MatrixSpec.tops`) at the times t, an array whose last axis runs over the
-    batch members (indices) given; its shape is t.shape + (n, 4n).  y0 is a
+    batch members (indices) given; its shape is t.shape + (n, 2n).  y0 is a
     stack of complex adjoints.  Returns, per member, the stack of its
     adjoints at t0 and t1, or with `samples` at the samples + 1 equally
     spaced times from t0 to t1, or else the ArithmeticError that ended it;
@@ -512,7 +498,7 @@ def _run(coefficients, t0, t1, y0, cfg, samples=None):
 
     with np.errstate(all="ignore"):
         # the states as real forms; a non-finite y0 lifts to nan
-        y = _lift(real_rows(y0[..., :y0.shape[-1] // 2, :]))
+        y = _lift(y0[..., :y0.shape[-1] // 2, :].view(float))
         while len(members):
             budget, underflow = trials[members] == MAX_STEPS, h < 1e-13 * end
             arrived = t >= end - 1e-14 * end
@@ -567,7 +553,7 @@ def _run(coefficients, t0, t1, y0, cfg, samples=None):
             # an accepted step that ends on a sample time records its state
             w, row = np.nonzero((ahead < accepted) & (ends % spacing == 0.0))
             states[members[row], (ends[w, row] / spacing).astype(int)] = \
-                _to_adjoints(ys[w + 1, row])
+                ys[w + 1, row, ::2].view(complex)
             t = np.where(accepted > 0, ends[accepted - 1, rows], t)
             length = np.where(accepted > 0, WINDOW, 1 if samples else length)
             y = ys[accepted, rows]

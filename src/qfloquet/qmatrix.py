@@ -146,12 +146,6 @@ def components(top):
     return np.stack([top[..., :c], top[..., c:]], axis=-1).view(float)
 
 
-def real_rows(top):
-    """(..., r, 4c) real top block rows [Re A1, Re A2, Im A1, Im A2] of
-    (..., r, 2c) complex ones [A1, A2]."""
-    return np.concatenate((top.real, top.imag), axis=-1)
-
-
 def adjoints(top):
     """(..., 2r, 2c) complex adjoints [[A1, A2], [-conj(A2), conj(A1)]] of
     (..., r, 2c) top block rows [A1, A2]."""

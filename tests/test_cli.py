@@ -242,6 +242,7 @@ NAN_RESIDUAL = "ValueError: a(t) periodicity residual nan exceeds 1.0e-08"
     ("pi", "p + cos(2*t)/p", "0,1",
      ["DivisionByZero: inverse of zero quaternion", ""]),
     ("-1", "p + j*cos(2*t)", "0,1", ["ValueError: period must be positive"] * 2),
+    ("inf", "p + j*cos(2*t)", "0,1", ["ValueError: period must be finite"] * 2),
 ])
 def test_sweep_rows_equal_their_one_point_sweeps(capsys, period, a, grid,
                                                  errors):
@@ -581,6 +582,22 @@ def test_repeated_entry_flags_give_rows(tmp_path):
 def test_parse_error_exits_2(capsys):
     assert run_cli(["constant", "--entry", "i + ("]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_infinite_period_exits_2(capsys, tmp_path):
+    # refused when the system is built: no numpy warning, no integration
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "mode": "periodic", "period": "Infinity", "entries": [["1"]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in (["periodic", "--period", "inf", "--entry", "cos(t)"],
+                     ["periodic", "--period", "inf", "--entry", "1"],
+                     ["hill", "--period", "inf", "--a", "1"],
+                     ["--config", str(config_path)]):
+            assert run_cli(args) == 2
+            assert capsys.readouterr().err == \
+                "configuration error: period must be finite\n"
 
 
 def test_dimension_error_exits_2(capsys):

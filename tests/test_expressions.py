@@ -11,7 +11,7 @@ from qfloquet.expressions import (MAX_DEPTH, MAX_EXPONENT, REAL_ARG_TOL,
                                   Unit, UnknownIdentifier, Var, compile_expr,
                                   evaluate, grid_max, parse,
                                   quaternion_literal, render)
-from qfloquet.qmatrix import real_rows
+from qfloquet.qmatrix import adjoints, sum_norms
 from qfloquet.quaternion import DivisionByZero, I, J, K, Quaternion, qexp
 
 
@@ -149,12 +149,41 @@ def test_array_evaluation_matches_float_evaluation():
     t = np.array([[0.0, 0.4], [1.3, 2.9]])
     p = np.array([0.5, -1.5])
     batch = spec.tops(t, {"p": p})
-    assert batch.shape == (2, 2, 2, 8)
+    assert batch.shape == (2, 2, 2, 4)
     for index in np.ndindex(t.shape):
-        single = real_rows(spec.evaluate(t[index], {"p": p[index[1]]}).top)
+        single = spec.evaluate(t[index], {"p": p[index[1]]}).top
         assert np.allclose(batch[index], single, rtol=1e-14, atol=1e-14)
     assert np.array_equal(spec.tops(0.4, {"p": 0.5}),
-                          real_rows(spec.evaluate(0.4, {"p": 0.5}).top))
+                          spec.evaluate(0.4, {"p": 0.5}).top)
+
+
+def test_tops_match_the_compiled_entries():
+    # the one evaluator against each entry's own compiled closure, on a
+    # seeded stack of 345 times and parameter values: A1 = q0 + q1 i and
+    # A2 = q2 + q3 i of every entry (A = A1 + A2 j), in varying, folded and
+    # constant entries
+    sources = [["k/2 + p", "exp(-2*i*t*p) * exp(j*p)", "3 - 2*i"],
+               ["cos(2)*j", "i + 2*j*cos(2*t) + k*sin(2*t)/(1 + p^2)", "0"],
+               ["t*p", "-k", "exp(t) - j*sin(p*t)"]]
+    spec = MatrixSpec.from_strings(sources, variables=("t", "p"))
+    rng = np.random.default_rng(29)
+    t, p = rng.uniform(-3.0, 3.0, size=(2, 345))
+    tops = spec.tops(t, {"p": p})
+    assert tops.shape == (345, 3, 6) and tops.dtype == complex
+    expected = np.empty_like(tops)
+    for r, row in enumerate(sources):
+        for c, src in enumerate(row):
+            q0, q1, q2, q3 = np.broadcast_arrays(
+                *compile_expr(parse(src, ("t", "p")))(t, {"p": p}), t)[:4]
+            expected.real[:, r, c], expected.imag[:, r, c] = q0, q1
+            expected.real[:, r, 3 + c], expected.imag[:, r, 3 + c] = q2, q3
+    assert np.array_equal(tops, expected)
+    # a member's top rows are the same, bit for bit, in a stack of any size
+    for members in (slice(100, 101), slice(100, 107)):
+        assert np.array_equal(spec.tops(t[members], {"p": p[members]}),
+                              tops[members])
+    # the integrator sizes its states by their top rows alone
+    assert np.array_equal(sum_norms(tops), sum_norms(adjoints(tops)))
 
 
 def test_array_evaluation_errors():

@@ -10,7 +10,7 @@ from qfloquet.integrate import (IntegratorConfig, NonFiniteState,
                                 StepUnderflow, integrate, integrate_batch,
                                 liouville_residual, trace_integral)
 from qfloquet.qmatrix import (QMatrix, adjoint, adjoints, allclose, expm,
-                              from_adjoint, qdet, real_rows)
+                              from_adjoint, qdet)
 from qfloquet.quaternion import DivisionByZero, J, K, Quaternion
 
 from conftest import CONST_DECAYING_2X2
@@ -223,21 +223,20 @@ def test_stage_sum_matches_a_reduction(members):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_real_forms_multiply_like_adjoints(n):
-    # the stepping kernel's one product, on seeded stacks of 345: real top
-    # rows times the real form (`_lift`) of an adjoint's top rows
+    # the stepping kernel's one product, on seeded stacks of 345: top rows
+    # read as floats times the real form (`_lift`) of an adjoint's top rows
     rng = np.random.default_rng([83, n])
     left, right = rng.normal(size=(2, 345, n, 4 * n))
     forms = integrate_module._lift(right)
-    # the lift copies each entry of the adjoint's real and imaginary parts
-    chi = adjoints(right[..., :2 * n] + 1j * right[..., 2 * n:])
-    assert np.array_equal(forms[..., :2 * n, :],
-                          np.concatenate((chi.real, chi.imag), axis=-1))
-    assert np.array_equal(forms[..., 2 * n:, :],
-                          np.concatenate((-chi.imag, chi.real), axis=-1))
-    # the product is the complex one written as reals, within a few ulps of
+    # the lift copies each entry: its even rows are the adjoint chi and its
+    # odd rows i chi, read as floats
+    chi = adjoints(right.view(complex))
+    assert np.array_equal(forms[..., ::2, :].view(complex), chi)
+    assert np.array_equal(forms[..., 1::2, :].view(complex), 1j * chi)
+    # the product is the complex one read as floats, within a few ulps of
     # the sum of its terms' moduli
     product = left @ forms
-    expected = real_rows((left[..., :2 * n] + 1j * left[..., 2 * n:]) @ chi)
+    expected = (left.view(complex) @ chi).view(float)
     bound = 8 * n * np.finfo(float).eps * (np.abs(left) @ np.abs(forms))
     assert np.all(np.abs(product - expected) <= bound)
     # a member's product is the same, bit for bit, in a stack of any size
