@@ -17,26 +17,21 @@ import sys
 
 import numpy as np
 
-from .expressions import (ExprSyntaxError, MatrixSpec, UnknownIdentifier,
-                          evaluate, parse)
-from .floquet import (NotPeriodic, PeriodicityViolation, classify_constant,
-                      classify_periodic, exponent_sum_residual,
-                      multiplier_product_check, normal_form)
-from .hill import HillProblem, NotRealCoefficient, analyze, analyze_chart
-from .integrate import (IntegratorConfig, NonFiniteState, QuadratureFailure,
-                        StepBudgetExceeded, StepUnderflow)
-from .qmatrix import (LogFailure, NonSquare, OmegaViolation, PairingFailure,
-                      QMatrix, RecoveryFailure, Singular, expm,
-                      quaternion_data, standard_eigenvalues, sum_norms)
-from .quaternion import DivisionByZero
+from .expressions import MatrixSpec, evaluate, parse
+from .floquet import (NotPeriodic, classify_constant, classify_periodic,
+                      exponent_sum_residual, multiplier_product_check,
+                      normal_form)
+from .hill import HillProblem, analyze, analyze_chart
+from .integrate import IntegratorConfig
+from .qmatrix import (QMatrix, expm, quaternion_data, standard_eigenvalues,
+                      sum_norms)
 
-NUMERICAL_ERRORS = (Singular, StepUnderflow, StepBudgetExceeded,
-                    NonFiniteState, QuadratureFailure, PeriodicityViolation,
-                    NotPeriodic, LogFailure, OmegaViolation, PairingFailure,
-                    RecoveryFailure, NotRealCoefficient, DivisionByZero,
-                    np.linalg.LinAlgError, ArithmeticError)
-CONFIG_ERRORS = (ExprSyntaxError, UnknownIdentifier, NonSquare, ValueError,
-                 KeyError, json.JSONDecodeError)
+# qfloquet's numerical failures are ArithmeticErrors, but NotPeriodic and
+# numpy's LinAlgError are ValueErrors, caught first; any other ValueError (a
+# parse error, a malformed config, a bad value), a missing key and a file
+# that cannot be read or written are configuration errors
+NUMERICAL_ERRORS = (ArithmeticError, NotPeriodic, np.linalg.LinAlgError)
+CONFIG_ERRORS = (ValueError, KeyError, OSError)
 # largest grid a start/stop/step sweep may ask for
 MAX_SWEEP_POINTS = 100_000
 
@@ -92,6 +87,8 @@ def _table(headers, rows):
 def _parse_period(text):
     if isinstance(text, (int, float)):
         return float(text)
+    if not isinstance(text, str):
+        raise ValueError(f"period must be a number or 'pi', got {text!r}")
     if text.strip() == "pi":
         return math.pi
     return float(text)
@@ -117,10 +114,37 @@ def _entry_rows(tokens):
     return rows
 
 
+def _check_config(config):
+    """Return config if its values have the types the modes read, else
+    raise ValueError: it is an object, its `integrator`, `output` and
+    `sweep` are objects, `a` is a string, `entries` a list of lists of
+    strings, `period` a number or a string `_parse_period` reads, and the
+    output format text, json or csv."""
+    if not isinstance(config, dict):
+        raise ValueError("a config must be a JSON object")
+    for key in ("integrator", "output", "sweep"):
+        if not isinstance(config.get(key, {}), dict):
+            raise ValueError(f"config {key!r} must be a JSON object")
+    if not isinstance(config.get("a", ""), str):
+        raise ValueError("config 'a' must be a string")
+    entries = config.get("entries", [])
+    if not (isinstance(entries, list) and all(
+            isinstance(row, list) and all(isinstance(e, str) for e in row)
+            for row in entries)):
+        raise ValueError("config 'entries' must be a list of lists of strings")
+    if "period" in config:
+        _parse_period(config["period"])
+    fmt = config.get("output", {}).get("format", "text")
+    if fmt not in ("text", "json", "csv"):
+        raise ValueError(f"config output format must be text, json or csv, "
+                         f"got {fmt!r}")
+    return config
+
+
 def _config_from_args(args):
     if args.config:
         with open(args.config) as handle:
-            config = json.load(handle)
+            config = _check_config(json.load(handle))
     else:
         config = {}
     if args.mode:
@@ -223,7 +247,7 @@ def run_periodic(config):
     if "period" not in config:
         raise ValueError("periodic mode requires a period")
     grid = _matrix_from_config(config, variables=("t",))
-    spec = MatrixSpec(grid, period=float(config["period"]))
+    spec = MatrixSpec(grid, period=_parse_period(config["period"]))
     cfg = _integrator_config(config)
     fd = normal_form(spec, cfg)
     b_spectrum = standard_eigenvalues(fd.B)
@@ -261,7 +285,7 @@ def _hill_coefficient(config, variables):
     source = config.get("a")
     if not source:
         raise ValueError("hill mode requires the coefficient expression --a")
-    return parse(source, variables), float(config["period"])
+    return parse(source, variables), _parse_period(config["period"])
 
 
 def run_hill(config):
@@ -548,8 +572,8 @@ def main(argv=None):
         if args.replay:
             with open(args.replay) as handle:
                 previous = json.load(handle)
-            report = _json_report(previous["config"],
-                                  run_mode(previous["config"]))
+            config = _check_config(previous["config"])
+            report = _json_report(config, run_mode(config))
             if not _numeric_match(previous["results"], report["results"]):
                 sys.stderr.write("replay mismatch: results differ beyond 1e-12\n")
                 return 3
@@ -557,22 +581,20 @@ def main(argv=None):
             return 0
         config = _config_from_args(args)
         results = run_mode(config)
+        fmt, mode = config["output"].get("format", "text"), config["mode"]
+        if fmt == "json":
+            text = json.dumps(_json_report(config, results))
+        elif fmt == "csv":
+            text = _render_csv(mode, results)
+        else:
+            text = _render_text(mode, results)
+        _emit(text, config["output"].get("path"))
     except NUMERICAL_ERRORS as exc:
         sys.stderr.write(f"numerical failure: {type(exc).__name__}: {exc}\n")
         return 3
     except CONFIG_ERRORS as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
-
-    fmt = config.get("output", {}).get("format", "text")
-    path = config.get("output", {}).get("path")
-    mode = config["mode"]
-    if fmt == "json":
-        _emit(json.dumps(_json_report(config, results)), path)
-    elif fmt == "csv":
-        _emit(_render_csv(mode, results), path)
-    else:
-        _emit(_render_text(mode, results), path)
     return 0
 
 

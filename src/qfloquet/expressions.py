@@ -635,8 +635,9 @@ class MatrixSpec:
         return sum((f(t, params) for f in self._diagonal_fns),
                    np.zeros(np.shape(t)))
 
-    def periodicity_residual(self, grid_points=GRID_POINTS, params=None):
-        """max over a grid of ||A(t) - A(t+T)|| in the entrywise sum norm.
+    def periodicity_residual(self, params=None):
+        """max over the GRID_POINTS-point grid of ||A(t) - A(t+T)|| in the
+        entrywise sum norm.
 
         A parameter may be bound to an array of one value per grid time,
         or to a (1, members) row, one value per member of a batch.  Then
@@ -661,4 +662,4 @@ class MatrixSpec:
                 return c - c
             return sum(hypot(*map(change, f(both, params)))
                        for f in self._entry_fns)
-        return grid_max(drift, period, grid_points, members)
+        return grid_max(drift, period, members=members)

@@ -25,8 +25,8 @@ import numpy as np
 
 from .expressions import MatrixSpec, Neg, Num, compile_expr, grid_max
 from .floquet import (COEFF_PERIODICITY_TOL, STAB_TOL, Evidence, Stability,
-                      StabilityVerdict, characteristic_multipliers,
-                      classify_multipliers)
+                      StabilityVerdict, _require_periodic,
+                      characteristic_multipliers, classify_multipliers)
 from .integrate import batch_params, integrate_batch
 from .qmatrix import QMatrix, adjoint, adjoints
 from .quaternion import hypot
@@ -55,8 +55,9 @@ class HillProblem:
 
     def __post_init__(self):
         # building the companion raises "period must be positive" or
-        # "period must be finite"
-        _check_coefficient(companion(self), self.params)
+        # "period must be finite"; a(t) is its only varying entry, so its
+        # periodicity check is a(t)'s
+        _require_periodic(companion(self), self.params)
 
     @functools.cached_property
     def _spec(self):
@@ -84,15 +85,6 @@ def companion(problem):
 def _companion(a, period):
     return MatrixSpec([[Num(0.0), Num(1.0)], [Neg(a), Num(0.0)]],
                       period=period)
-
-
-def _check_coefficient(spec, params):
-    # a(t) is the companion's only varying entry, so this is the largest
-    # |a(t) - a(t+T)| on the grid
-    worst = spec.periodicity_residual(params=params)
-    if not worst <= COEFF_PERIODICITY_TOL:    # nan fails too
-        raise ValueError(f"a(t) periodicity residual {worst:.3e} exceeds "
-                         f"{COEFF_PERIODICITY_TOL:.1e}")
 
 
 def _trace_band_verdict(re_trace, M_T, inside, quantity):
@@ -242,8 +234,8 @@ def analyze_chart(a, period, params, cfg=None):
             np.logical_not(worst <= COEFF_PERIODICITY_TOL)).tolist()
         for k in suspects:
             try:
-                _check_coefficient(spec, {name: values[k]
-                                          for name, values in params.items()})
+                _require_periodic(spec, {name: values[k]
+                                         for name, values in params.items()})
             except Exception as exc:  # the point's set-up failure
                 outcomes[k] = exc
     passing = [k for k in range(size) if k not in outcomes]

@@ -27,10 +27,10 @@ so the stages of all the window's steps are built together; only the
 product of each step's propagator with the state is sequential.  In a
 batch, a window covers each member's own steps alone, and the local error
 estimates, which read the top rows of their products, share one product
-per step.  Each weighted sum of stages is built in place over the row's
-nonzero weights.  The longest prefix of steps within the tolerance is
-accepted, and the next step comes from the first rejected step's error or
-else from the window's largest.  Every step of a window counts against
+per step.  Each weighted sum of stages is one `np.einsum`, in stage
+order.  The longest prefix of steps within the tolerance is accepted, and
+the next step comes from the first rejected step's error or else from the
+window's largest.  Every step of a window counts against
 MAX_STEPS, accepted or not.  Without sample times, a member's windows have
 one step until one is accepted, which sizes the step from the initial
 guess, and up to WINDOW steps from then on; a window that reaches t1 is
@@ -157,40 +157,21 @@ class Trajectory(NamedTuple):
 
 
 class _Method(NamedTuple):
-    """An explicit Runge-Kutta method.  Each row of weights holds its
-    nonzero weights alone, as (stage, weight) pairs in stage order (see
-    `_stage_sum`)."""
+    """An explicit Runge-Kutta method, its weights as plain float arrays:
+    the stages they weight are top rows read as floats."""
     c: np.ndarray      # step fraction of each stage, shaped (stages, 1)
-    a: tuple           # weights of the earlier stages, per stage after the
-                       # first, then those of y_new
+    a: tuple           # per stage after the first, the weights of the stages
+                       # before it; then b, the weights of y_new
     err: tuple         # 5th- and 3rd-order local error weights, or none
 
 
 def _method(c, a, b, err5=None, bhh=None):
     """A _Method from stage fractions c (c[0] = 0) and weight lists.  The
     3rd-order error weights are b - bhh."""
-    return _Method(np.array(c)[:, None], _weights(*a, b),
-                   _weights(err5, np.subtract(b, bhh)) if err5 else ())
-
-
-def _weights(*rows):
-    # plain floats: the stages they weight are top rows read as floats
-    return tuple(tuple((stage, float(weight))
-                       for stage, weight in enumerate(row) if weight)
-                 for row in rows)
-
-
-def _stage_sum(row, K, out, scratch):
-    """sum_j w_j K[j] over the row's (j, w_j) pairs, added in stage order
-    into `out`, with `scratch` (both shaped like K[0]) for each term; so a
-    stage sum of any length allocates nothing.  K is a sequence of the
-    stages' arrays.  Returns out."""
-    (first, weight), *rest = row
-    np.multiply(K[first], weight, out)
-    for stage, weight in rest:
-        np.multiply(K[stage], weight, scratch)
-        np.add(out, scratch, out)
-    return out
+    def rows(*weights):
+        return tuple(np.array(row, dtype=float) for row in weights)
+    return _Method(np.array(c)[:, None], rows(*a, b),
+                   rows(err5, np.subtract(b, bhh)) if err5 else ())
 
 
 # Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -329,41 +310,41 @@ def _window(method, coefficients, cfg, t0, unit, end, members, t, h, n, y):
     (t and h count `unit`s of time from t0; no stage comes after `end`).
 
     Each stage's h M' is K_s y for the propagator K_s = h A_s (I + sum_j
-    a_sj K_j), and y_{w+1} = R_w y_w.  The stages are built for the window's
-    (step, member) pairs alone, step by step: a member takes its own n of
-    the W = max(n) steps, and one with fewer keeps its last state through
-    the rest.  Every left factor is held as its top rows read as floats and
-    multiplied by the real form of the right factor (`_lift`); the states y
-    are real forms, whose even rows are their adjoints.  Returns the states
-    y_0 .. y_W; whether each member's state and stage 0, h A(t), are finite
-    at the window's start; each step's local error relative to the
-    tolerance (None for a fixed step); and whether each step's end state is
-    finite (steps on the first axis, members on the second).  Entries past a member's n steps
-    are not read.  Every operation is elementwise or one product per matrix,
-    so a member's results do not depend on the rest of the batch.
+    a_sj K_j), and y_{w+1} = R_w y_w.  The stages are built for the
+    window's (step, member) pairs alone, step by step: a member takes its
+    own n of the W = max(n) steps, and one with fewer keeps its last state
+    through the rest.  K_s overwrites h A_s in one stack, and each weighted
+    sum of stages is one einsum over a prefix of it.  Every left factor is
+    held as its top rows read as floats and multiplied by the real form of
+    the right factor (`_lift`); the states y are real forms, whose even
+    rows are their adjoints.  Returns the states y_0 .. y_W; whether each
+    member's state and stage 0, h A(t), are finite at the window's start;
+    each step's local error relative to the tolerance (None for a fixed
+    step); and whether each step's end state is finite (steps on the first
+    axis, members on the second).  Entries past a member's n steps are not
+    read.  Every operation is elementwise or one product per matrix, so a
+    member's results do not depend on the rest of the batch.
     """
     width, size = n.max(), len(n)
     step, member = np.nonzero(np.arange(width)[:, None] < n)
     bounds = np.searchsorted(step, np.arange(width + 1))
     # h A at every stage time of the window, evaluated together, as top
-    # rows read as floats, shaped (stages, pairs, n, 4n); stage by stage,
-    # K[s] = h A_s turns into the propagator K_s
+    # rows read as floats, shaped (stages, pairs, n, 4n)
     K = coefficients(members[member], t0 + unit * np.minimum(
         t[member] + (step + method.c) * h[member], end)).view(float)
     K *= unit * h[member, None, None]
     order = K.shape[-2]
     eye = np.eye(order, 2 * order, dtype=complex).view(float)
-    # the last row's I + sum_j b_j K_j is the step's propagator R, which
-    # the states need after the loop, so it keeps its own buffer
-    argument, scratch, R = (np.empty_like(K[0]) for _ in range(3))
-    stages = list(K)
-    for s, row in enumerate(method.a, 1):
-        total = _stage_sum(row, stages, argument if s < len(K) else R,
-                           scratch)
+
+    def propagator(row):
+        # the real form of I + sum_j row_j K_j, summed in stage order
+        total = np.einsum("s,s...->...", row, K[:len(row)])
         total += eye
-        if s < len(K):
-            stages[s] = K[s] @ _lift(total)
-    R = _lift(R)
+        return _lift(total)
+
+    for s, row in enumerate(method.a[:-1], 1):
+        K[s] = K[s] @ propagator(row)
+    R = propagator(method.a[-1])
     ys = np.empty((width + 1,) + y.shape)
     ys[0] = y
     for w, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -379,9 +360,8 @@ def _window(method, coefficients, cfg, t0, unit, end, members, t, h, n, y):
         # the error weights apply to each step's start state, and the
         # estimates read their products' top rows alone, so the two error
         # sums, stacked, are one product
-        weighted = np.empty((len(step), 2) + K.shape[2:])
-        for e, row in enumerate(method.err):
-            _stage_sum(row, stages, weighted[:, e], scratch)
+        weighted = np.stack([np.einsum("s,s...->...", row, K)
+                             for row in method.err], axis=1)
         products = (weighted.reshape(len(step), 2 * order, -1)
                     @ ys[step, member]).reshape(weighted.shape)
         e5, e3 = sum_norms(products.view(complex)).T / (

@@ -226,18 +226,19 @@ def test_sweep_failing_point_fails_only_its_row(capsys):
     # p = nan fails the periodicity grid check at set-up
     rows = sweep_rows(capsys, "1,nan,2")
     assert [bool(row["error"]) for row in rows] == [False, True, False]
-    assert rows[1]["error"].startswith("ValueError")
+    assert rows[1]["error"].startswith("NotPeriodic")
     assert [rows[0], rows[2]] == sweep_rows(capsys, "1,2")
 
 
-NAN_RESIDUAL = "ValueError: a(t) periodicity residual nan exceeds 1.0e-08"
+NAN_RESIDUAL = ("NotPeriodic: coefficient periodicity residual nan exceeds "
+                "1.0e-08 on a 64-point grid")
 
 
 @pytest.mark.parametrize("period, a, grid, errors", [
     # p = 1 fails the periodicity check alone: cos(t) has period 2 pi
     ("pi", "p + j*cos(p*t)", "1,2,nan,1e400",
-     ["ValueError: a(t) periodicity residual 2.000e+00 exceeds 1.0e-08", "",
-      NAN_RESIDUAL, NAN_RESIDUAL]),
+     ["NotPeriodic: coefficient periodicity residual 2.000e+00 exceeds "
+      "1.0e-08 on a 64-point grid", "", NAN_RESIDUAL, NAN_RESIDUAL]),
     # the batched check raises; only p = 0 fails, checked alone
     ("pi", "p + cos(2*t)/p", "0,1",
      ["DivisionByZero: inverse of zero quaternion", ""]),
@@ -612,6 +613,68 @@ def test_numerical_failure_exits_3(capsys):
     code = run_cli(["periodic", "--period", "pi", "--entry", "cos(t)"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_non_periodic_coefficient_fails_alike_in_every_mode(capsys):
+    # cos(t) does not have period 1: `periodic` and `hill` exit 3 and a
+    # sweep's row holds the error, each with floquet's one message
+    message = ("NotPeriodic: coefficient periodicity residual 9.553e-01 "
+               "exceeds 1.0e-08 on a 64-point grid")
+    for argv in (["periodic", "--period", "1", "--entry", "cos(t)"],
+                 ["hill", "--period", "1", "--a", "cos(t)"]):
+        assert run_cli(argv) == 3
+        assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
+    assert run_cli(["sweep", "--period", "1", "--a", "p + cos(t)",
+                    "--p-grid=0", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [row["error"] for row in json.loads(out)["results"]["rows"]] == [
+        message]
+
+
+def expect_configuration_error(capsys, argv):
+    """argv exits 2 with one stderr line and an empty stdout."""
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--replay", "--out"])
+def test_unreadable_or_unwritable_file_exits_2(tmp_path, capsys, flag):
+    # --out fails only after the run, when the report is written
+    missing = str(tmp_path / "missing" / "x.json")
+    argv = {"--config": ["periodic", "--config", missing],
+            "--replay": ["--replay", missing],
+            "--out": ["hill", "--period", "pi", "--a", "1 + j*cos(2*t)",
+                      "--out", missing]}[flag]
+    expect_configuration_error(capsys, argv)
+
+
+# the period as a number, the way a report's config holds it
+HILL_CONFIG = {"mode": "hill", "period": math.pi, "a": "1 + j*cos(2*t)"}
+
+
+@pytest.mark.parametrize("config", [
+    [HILL_CONFIG],
+    {**HILL_CONFIG, "a": 5},
+    {**HILL_CONFIG, "period": None},
+    {**HILL_CONFIG, "output": "json"},
+    {**HILL_CONFIG, "output": {"format": "xml"}},
+    {**HILL_CONFIG, "mode": "sweep", "sweep": [1, 2]},
+    {**HILL_CONFIG, "integrator": [1]},
+    {"mode": "periodic", "period": math.pi, "entries": "t"},
+], ids=["list", "a", "period", "output", "format", "sweep", "integrator",
+        "entries"])
+@pytest.mark.parametrize("flag", ["--config", "--replay"])
+def test_malformed_config_exits_2(tmp_path, capsys, config, flag):
+    # a replayed report's config is checked the same way
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config if flag == "--config" else
+                               {"mode": "hill", "config": config,
+                                "results": {}}))
+    expect_configuration_error(capsys, [flag, str(path)])
 
 
 @pytest.mark.parametrize("entry", ["1e400", "exp(1000)"])

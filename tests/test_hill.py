@@ -359,8 +359,10 @@ def test_chart_points_fail_alone():
     chart = analyze_chart(node, math.pi, {"p": [2.0, 1.0, math.nan]})
     assert isinstance(chart[0].M_T, QMatrix)
     assert [str(outcome) for outcome in chart[1:]] == [
-        "a(t) periodicity residual 2.000e+00 exceeds 1.0e-08",
-        "a(t) periodicity residual nan exceeds 1.0e-08"]
+        "coefficient periodicity residual 2.000e+00 exceeds 1.0e-08 on a "
+        "64-point grid",
+        "coefficient periodicity residual nan exceeds 1.0e-08 on a 64-point "
+        "grid"]
     assert [str(outcome) for outcome in analyze_chart(node, -1.0, {"p": [2.0]})
             ] == ["period must be positive"]
     assert analyze_chart(node, math.pi, {"p": []}) == []

@@ -128,14 +128,6 @@ def test_liouville_on_normal_form_trajectories(name, request):
         assert liouville_residual(traj, spec) <= 1e-7 * max(1.0, largest)
 
 
-def _full_row(row, length):
-    """A row of (stage, weight) pairs as `length` weights, zeros included."""
-    weights = [0.0] * length
-    for stage, weight in row:
-        weights[stage] = weight
-    return weights
-
-
 def record_windows(monkeypatch):
     """Spy on `_window` for a run of one member from t0 = 0: each window's
     start t and step h (in sample spacings with samples), step count n,
@@ -179,46 +171,41 @@ def test_dop853_tableau_matches_scipy():
     # continuous extension's 3 stages, which qfloquet does not compute
     c = method.c.ravel().tolist()
     assert c == reference.C[:12].tolist()
-    rows = method.a + method.err
-    # each row keeps its nonzero weights alone, in stage order
-    for row in rows:
-        stages = [stage for stage, _ in row]
-        assert stages == sorted(set(stages))
-        assert all(weight != 0.0 for _, weight in row)
+    # row s weights the s stages before it; the last row is b
     for s, row in enumerate(method.a, 1):
-        assert _full_row(row, s) == reference.A[s, :s].tolist()
-        # c_i is the sum of row i, and 1 that of b, the last row
-        assert abs(sum(weight for _, weight in row)
-                   - (c + [1.0])[s]) <= 1e-14
-    assert _full_row(method.a[-1], len(c)) == reference.B.tolist()
+        assert row.tolist() == reference.A[s, :s].tolist()
+        # c_i is the sum of row i, and 1 that of b
+        assert abs(row.sum() - (c + [1.0])[s]) <= 1e-14
+    assert len(method.a) == len(c)
+    assert method.a[-1].tolist() == reference.B.tolist()
     # SciPy's error rows give f(t + h, y_new) a zero weight
-    err5, err3 = (_full_row(row, len(c) + 1) for row in method.err)
+    err5, err3 = (row.tolist() + [0.0] for row in method.err)
     assert err5 == reference.E5.tolist()
     assert err3 == reference.E3.tolist()
 
 
-@pytest.mark.parametrize("members", [1, 16])
+@pytest.mark.parametrize("members", [1, 16, 345])
 def test_stage_sum_matches_a_reduction(members):
-    # the in-place sum over a row's nonzero weights against the reduction
-    # over all of them: the DOP853 rows, whose zeros sit between nonzero
-    # weights, and seeded random rows with zeros first, last and inside
+    # the stepping kernel's stage and error sums, one einsum over a prefix
+    # of the stage stack, against the reduction over weights times stages
+    # in stage order, bit for bit: the DOP853 rows, whose zeros sit between
+    # nonzero weights, and seeded random rows with zeros first, last and
+    # inside.  Stages are top rows read as floats, with three entries in ten
+    # zeros of either sign, so that sums of signed zeros are compared too
     rng = np.random.default_rng(71)
-    shape = (16, 5, members, 4, 4)
-    K = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    shape = (16, members, 2, 8)
+    K = rng.normal(size=shape)
+    K = np.where(rng.random(shape) < 0.3, np.copysign(0.0, K), K)
     method = integrate_module._DOP853
     random_rows = [rng.normal(size=length) * (rng.random(length) < 0.6)
                    for length in (1, 3, 8, 16) for _ in range(4)]
     random_rows += [[0.0, 0.0, 2.5], [1.5, 0.0, 0.0], [0.0, -0.75]]
-    rows = [_full_row(row, row[-1][0] + 1)
-            for row in method.a + method.err]
-    out, scratch = np.empty_like(K[0]), np.empty_like(K[0])
-    for weights in rows + [row for row in random_rows if np.any(row)]:
-        (row,) = integrate_module._weights(weights)
-        expected = np.add.reduce(
-            np.asarray(weights)[:, None, None, None, None] * K[:len(weights)])
-        result = integrate_module._stage_sum(row, K, out, scratch)
-        assert result is out
-        np.testing.assert_array_equal(result, expected)
+    for weights in method.a + method.err + tuple(map(np.array, random_rows)):
+        expected = np.add.reduce(weights[:, None, None, None]
+                                 * K[:len(weights)])
+        result = np.einsum("s,s...->...", weights, K[:len(weights)])
+        assert result.shape == expected.shape
+        assert result.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
