@@ -21,7 +21,7 @@ from .expressions import (DomainError, EvalError, ExprSyntaxError, MatrixSpec,
 from .integrate import (IntegratorConfig, NonFiniteState, QuadratureFailure,
                         StepBudgetExceeded, StepCounts, StepUnderflow,
                         Trajectory, integrate, integrate_batch,
-                        liouville_residual, trace_integral)
+                        integrate_spans, liouville_residual, trace_integral)
 from .floquet import (Evidence, FloquetData, NotPeriodic, PeriodicWitness,
                       PeriodicityViolation, Stability, StabilityVerdict,
                       ZeroMultiplier, characteristic_exponents,

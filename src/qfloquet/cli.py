@@ -114,17 +114,46 @@ def _entry_rows(tokens):
     return rows
 
 
+def _check_number(value, what):
+    """Raise ValueError unless float() reads value: a number, or a string
+    such as "nan", which a report's config holds for a non-finite grid
+    point."""
+    try:
+        float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config {what} must be a number, got "
+                         f"{value!r}") from None
+
+
 def _check_config(config):
     """Return config if its values have the types the modes read, else
     raise ValueError: it is an object, its `integrator`, `output` and
     `sweep` are objects, `a` is a string, `entries` a list of lists of
-    strings, `period` a number or a string `_parse_period` reads, and the
-    output format text, json or csv."""
+    strings, `period` a number or a string `_parse_period` reads, `jobs` an
+    integer, the integrator's `rtol` and `atol` numbers and its `method` a
+    string, the sweep's `grid` a list of numbers and its `start`, `stop`
+    and `step` numbers, and the output format text, json or csv."""
     if not isinstance(config, dict):
         raise ValueError("a config must be a JSON object")
     for key in ("integrator", "output", "sweep"):
         if not isinstance(config.get(key, {}), dict):
             raise ValueError(f"config {key!r} must be a JSON object")
+    if not isinstance(config.get("jobs", 1), int):
+        raise ValueError(f"config 'jobs' must be an integer, got "
+                         f"{config['jobs']!r}")
+    integ, sweep = config.get("integrator", {}), config.get("sweep", {})
+    for key in ("rtol", "atol"):
+        if key in integ:
+            _check_number(integ[key], f"integrator {key!r}")
+    if not isinstance(integ.get("method", ""), str):
+        raise ValueError("config integrator 'method' must be a string")
+    if not isinstance(sweep.get("grid", []), list):
+        raise ValueError("config sweep 'grid' must be a list")
+    for value in sweep.get("grid", []):
+        _check_number(value, "sweep grid point")
+    for key in ("start", "stop", "step"):
+        if key in sweep:
+            _check_number(sweep[key], f"sweep {key!r}")
     if not isinstance(config.get("a", ""), str):
         raise ValueError("config 'a' must be a string")
     entries = config.get("entries", [])
@@ -491,16 +520,21 @@ def _json_report(config, results):
     return {"mode": mode, "config": config, "results": results}
 
 
-def _numeric_match(a, b, tol=1e-12):
-    if isinstance(a, dict) and isinstance(b, dict):
-        return (a.keys() == b.keys()
-                and all(_numeric_match(a[k], b[k], tol) for k in a))
-    if isinstance(a, list) and isinstance(b, list):
-        return (len(a) == len(b)
-                and all(_numeric_match(x, y, tol) for x, y in zip(a, b)))
-    if isinstance(a, float) and isinstance(b, (int, float)):
-        return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-    return a == b
+def _numeric_mismatch(a, b, path, tol=1e-12):
+    """None when b matches a, floats within tol relative to max(1, |a|,
+    |b|); else where they first differ, as text naming the path."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        parts = ((f"{path}.{k}", a[k], b[k]) for k in a)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        parts = ((f"{path}[{k}]", x, y) for k, (x, y) in enumerate(zip(a, b)))
+    elif isinstance(a, float) and isinstance(b, (int, float)):
+        difference = abs(a - b) / max(1.0, abs(a), abs(b))
+        return (None if difference <= tol else
+                f"{path} differs by {difference:.2g} (beyond {tol:g})")
+    else:
+        return None if a == b else f"{path} differs"
+    return next(filter(None, (_numeric_mismatch(x, y, where, tol)
+                              for where, x, y in parts)), None)
 
 
 def run_mode(config):
@@ -572,10 +606,14 @@ def main(argv=None):
         if args.replay:
             with open(args.replay) as handle:
                 previous = json.load(handle)
+            if not isinstance(previous, dict):
+                raise ValueError("a report must be a JSON object")
             config = _check_config(previous["config"])
             report = _json_report(config, run_mode(config))
-            if not _numeric_match(previous["results"], report["results"]):
-                sys.stderr.write("replay mismatch: results differ beyond 1e-12\n")
+            mismatch = _numeric_mismatch(previous["results"],
+                                         report["results"], "results")
+            if mismatch:
+                sys.stderr.write(f"replay mismatch: {mismatch}\n")
                 return 3
             _emit(json.dumps(report), args.out)
             return 0

@@ -5,10 +5,11 @@ form M(t) = P(t) e^{tB}, periodic-solution witnesses, and stability
 classification for both constant and periodic systems.  Stability hinges on
 the standard eigenvalues: real parts for constant systems, moduli of the
 multipliers for periodic ones, with defective eigenvalues on the boundary
-counting as unstable.  The normal form reads M(t) at step ends of two
-integrations, one per period, on sample grids that share every other
-first-period time but no step length, so P's periodicity check compares
-two different discretizations.
+counting as unstable.  The normal form reads M(t) at step ends of one
+batch of two integrations from I: M(t) over [0, T], and Phi(t, T) over
+[T, 2T], which M(t) = Phi(t, T) M(T) turns into the second period.  Their
+sample grids share every other first-period time but no step length, so
+P's periodicity check compares two different discretizations.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import GRID_POINTS
-from .integrate import integrate, integrate_batch, trace_integral
+from .integrate import (NonFiniteState, integrate_batch, integrate_spans,
+                        trace_integral)
 from .qmatrix import (EIG_CLUSTER_TOL, SINGULAR_TOL, QMatrix,
                       StandardSpectrum, adjoint, expm_adjoint,
                       logm, right_eigenvector, standard_eigenvalues, sum_norms)
@@ -97,7 +99,7 @@ class FloquetData:
     sample_times: np.ndarray   # P_SAMPLE_COUNT times from 0 to T
     P_samples: np.ndarray   # adjoints of P(t) at the sample times
     periodicity_residual: float   # max ||P(t + T) - P(t)||, t on both grids
-    trajectories: tuple   # the integrations over [0, T] and [T, 2T]
+    trajectories: tuple   # M(t) on [0, T] and on [T, 2T], with the counts
     trace_integral: float   # integral of Re tr A over [0, T]
 
 
@@ -223,19 +225,27 @@ def normal_form(spec, cfg=None, params=None):
     """Full Floquet data: monodromy, B, multipliers, exponents, sampled P(t).
 
     Integrates the principal fundamental matrix over [0, T] on the P(t)
-    sample grid and over [T, 2T] on SECOND_PERIOD_SAMPLES intervals, each
-    sample a step end, and verifies P(t + T) = P(t), P(t) = M(t) e^{-tB},
+    sample grid, and Phi(t, T) from I over [T, 2T] on SECOND_PERIOD_SAMPLES
+    intervals, as one batch, each sample a step end; the second period's
+    M(t) is Phi(t, T) M(T).  Verifies P(t + T) = P(t), P(t) = M(t) e^{-tB},
     at the times both grids share, where no step of the second period has
     the length of one of the first.  M(T) is the last sample on [0, T]; the
     samples stay stacks of adjoints.
     """
     _require_periodic(spec, params)
     T = spec.period
-    first = integrate(spec, 0.0, T, QMatrix.identity(spec.n), cfg, params,
-                      P_SAMPLE_COUNT - 1)
+    first, second = integrate_spans(
+        spec, [(0.0, T, P_SAMPLE_COUNT - 1),
+               (T, 2.0 * T, SECOND_PERIOD_SAMPLES)],
+        QMatrix.identity(spec.n), cfg, params)
     mono = first.final
-    second = integrate(spec, T, 2.0 * T, mono, cfg, params,
-                       SECOND_PERIOD_SAMPLES)
+    with np.errstate(all="ignore"):
+        states = second.adjoints @ first.adjoints[-1]
+    finite = np.isfinite(states).all(axis=(1, 2))
+    if not finite.all():
+        raise NonFiniteState(f"M(t) is not finite at "
+                             f"t={second.times[finite.argmin()]:.6g}")
+    second = second._replace(adjoints=states)
     multipliers = characteristic_multipliers(mono)
     B = logm(mono, multipliers) * (1.0 / T)
     exponents = characteristic_exponents(multipliers, T)

@@ -4,12 +4,14 @@ The right-hand side X -> A(t) X is real-linear, so classical Runge-Kutta
 order theory carries over to quaternion-valued states unchanged.  One core
 steps a stack of B systems in real arithmetic: A is evaluated at all stage
 times of a window of steps in one array call (`MatrixSpec.tops`) and each
-stage is one batched real matrix product.  `integrate` runs it on one
-system and returns a Trajectory: M at equally spaced sample times, every
-one of them a step end, as one stack of complex adjoints (see
-`qmatrix.adjoint`).  `integrate_batch` returns M(t1) alone, for members
-that share A(t) but bind its parameters to different values; scalar
-values, or none, make a batch of one.  Nothing in qfloquet needs SciPy.
+stage is one batched real matrix product.  Each member has its own span:
+its t0, t1 and number of sample intervals.  `integrate_spans` runs it on
+several spans from one M0 and returns a Trajectory per span: M at equally
+spaced sample times, every one of them a step end, as one stack of complex
+adjoints (see `qmatrix.adjoint`); `integrate` is its batch of one span.
+`integrate_batch` returns M(t1) alone, for members that share A(t) and a
+span but bind A's parameters to different values; scalar values, or none,
+make a batch of one.  Nothing in qfloquet needs SciPy.
 
 The default method is DOP853, Dormand and Prince's adaptive 8th-order pair
 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5); a fixed-step
@@ -217,11 +219,25 @@ def integrate(spec, t0, t1, M0, cfg=None, params=None, samples=None):
     takes; or, with `samples`, at the ends of that many equal intervals of
     [t0, t1], every one of them a step end (see `_run`).
     """
+    (trajectory,) = integrate_spans(spec, [(t0, t1, samples)], M0, cfg,
+                                    params)
+    return trajectory
+
+
+def integrate_spans(spec, spans, M0, cfg=None, params=None):
+    """`integrate` from M0 over each span (t0, t1, samples), as one batch:
+    one Trajectory per span, the same bit for bit as the span's own.  Each
+    counts its own steps and the batch's coefficient calls.  `samples` is
+    None in every span or in none; when spans fail, the first one's error
+    is raised."""
     cfg = cfg or IntegratorConfig()
-    _check_shapes(spec, t0, t1, M0)
-    if samples is not None and not (isinstance(samples, (int, np.integer))
-                                    and samples > 0):
-        raise ValueError("samples must be a positive integer")
+    t0, t1, samples = zip(*spans)
+    for start, stop in zip(t0, t1):
+        _check_shapes(spec, start, stop, M0)
+    if samples.count(None) != len(samples) and not all(
+            isinstance(s, (int, np.integer)) and s > 0 for s in samples):
+        raise ValueError("samples must be a positive integer in every span, "
+                         "or None in every span")
 
     calls = 0
 
@@ -230,12 +246,17 @@ def integrate(spec, t0, t1, M0, cfg=None, params=None, samples=None):
         calls += 1
         return spec.tops(t, params)
 
-    (states,), (trials,), (accepted,) = _run(
-        coefficients, t0, t1, adjoint(M0)[None], cfg, samples)
-    if isinstance(states, Exception):
-        raise states
-    return Trajectory(np.linspace(t0, t1, len(states)), states,
-                      StepCounts(int(accepted), int(trials), calls))
+    y0 = np.broadcast_to(adjoint(M0), (len(spans),) + (2 * spec.n,) * 2)
+    outcomes, trials, accepted = _run(
+        coefficients, t0, t1, y0, cfg,
+        None if samples[0] is None else np.array(samples))
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return [Trajectory(np.linspace(start, stop, len(states)), states,
+                       StepCounts(int(steps), int(tries), calls))
+            for start, stop, states, steps, tries
+            in zip(t0, t1, outcomes, accepted, trials)]
 
 
 def batch_params(params):
@@ -305,9 +326,10 @@ def _lift(tops):
         tops.shape[:-2] + (4 * n, 4 * n))
 
 
-def _window(method, coefficients, cfg, t0, unit, end, members, t, h, n, y):
+def _window(method, coefficients, cfg, members, t0, unit, end, t, h, n, y):
     """n trial steps of length h from t for each member, computed together
-    (t and h count `unit`s of time from t0; no stage comes after `end`).
+    (t and h count the member's `unit`s of time from its t0; no stage comes
+    after its `end`).
 
     Each stage's h M' is K_s y for the propagator K_s = h A_s (I + sum_j
     a_sj K_j), and y_{w+1} = R_w y_w.  The stages are built for the
@@ -328,11 +350,12 @@ def _window(method, coefficients, cfg, t0, unit, end, members, t, h, n, y):
     width, size = n.max(), len(n)
     step, member = np.nonzero(np.arange(width)[:, None] < n)
     bounds = np.searchsorted(step, np.arange(width + 1))
+    t0, unit, end, t, h = (a[member] for a in (t0, unit, end, t, h))
     # h A at every stage time of the window, evaluated together, as top
     # rows read as floats, shaped (stages, pairs, n, 4n)
     K = coefficients(members[member], t0 + unit * np.minimum(
-        t[member] + (step + method.c) * h[member], end)).view(float)
-    K *= unit * h[member, None, None]
+        t + (step + method.c) * h, end)).view(float)
+    K *= (unit * h)[:, None, None]
     order = K.shape[-2]
     eye = np.eye(order, 2 * order, dtype=complex).view(float)
 
@@ -412,22 +435,24 @@ def _run(coefficients, t0, t1, y0, cfg, samples=None):
     coefficients(members, t) is the stack of A's top block rows (see
     `MatrixSpec.tops`) at the times t, an array whose last axis runs over the
     batch members (indices) given; its shape is t.shape + (n, 2n).  y0 is a
-    stack of complex adjoints.  Returns, per member, the stack of its
-    adjoints at t0 and t1, or with `samples` at the samples + 1 equally
-    spaced times from t0 to t1, or else the ArithmeticError that ended it;
-    and the arrays of trial and of accepted steps each member took.
+    stack of complex adjoints.  t0, t1 and `samples` are scalars, which hold
+    for every member, or one value per member.  Returns, per member, the
+    stack of its adjoints at t0 and t1, or with `samples` at its samples + 1
+    equally spaced times from t0 to t1, or else the ArithmeticError that
+    ended it; and the arrays of trial and of accepted steps each member
+    took.
 
     Without `samples`, time counts from t0, steps are free, a member's
     windows have one step until one is accepted, and a window that reaches
     t1 is shortened to equal steps that end exactly there.  With `samples`,
     the first window holds up to WINDOW steps, and a window that accepts no
-    step is followed by one-step windows until one is accepted; time counts
-    units from t0: the sample spacing, or for RK4 the spacing over the
-    fewest equal steps within rk4_step, which then is RK4's step.  Every
-    step is 2^-j units, j >= 0, so positions are exact and every sample
-    time is a step end.  A member coarsens only as far as its position is a
-    multiple of the coarser step, and a window that wants a
-    coarser step stops where it may take it (else windows of 64 steps from
+    step is followed by one-step windows until one is accepted; each
+    member's time counts units from its t0: its sample spacing, or for RK4
+    the spacing over the fewest equal steps within rk4_step, which then is
+    RK4's step.  Every step is 2^-j units, j >= 0, so positions are exact
+    and every sample time is a step end.  A member coarsens only as far as
+    its position is a multiple of the coarser step, and a window that wants
+    a coarser step stops where it may take it (else windows of 64 steps from
     an odd multiple of a step end on one again, and the member keeps the
     finer step for the whole run).
 
@@ -440,41 +465,50 @@ def _run(coefficients, t0, t1, y0, cfg, samples=None):
     the tolerance, and is rejected when it is not.
     """
     method = _RK4 if cfg.method == "rk4" else _DOP853
+    size = len(y0)
+    t0, t1 = (np.broadcast_to(np.asarray(x, dtype=float), size)
+              for x in (t0, t1))
     span = t1 - t0
-    per = 1 if method.err or not samples else math.ceil(
-        span / samples / cfg.rk4_step)
-    unit, end, spacing = ((span / samples / per, samples * per, per) if samples
-                          else (1.0, span, span))
-    first = (1.0 if samples else min(span / 100.0, 0.1) if method.err
-             else cfg.rk4_step)     # the first trial step
-    outcomes = [None] * len(y0)
-    trials, taken = (np.zeros(len(y0), dtype=int) for _ in range(2))
-    states = np.empty((len(y0), (samples or 1) + 1) + y0.shape[1:],
+    # the index of each member's state at t1
+    last = np.broadcast_to(1 if samples is None else samples, size)
+    if samples is None:
+        unit, end, spacing = np.ones(size), span, span
+        fixed = cfg.rk4_step
+    else:
+        per = np.ones(size) if method.err else np.ceil(
+            span / last / cfg.rk4_step)
+        unit, end, spacing = span / last / per, last * per, per
+        fixed = 1.0
+    # the first trial step, and RK4's every step
+    h = (np.minimum(span / 100.0, 0.1) if method.err and samples is None
+         else np.full(size, fixed))
+    outcomes = [None] * size
+    trials, taken = (np.zeros(size, dtype=int) for _ in range(2))
+    states = np.empty((size, last.max(initial=1) + 1) + y0.shape[1:],
                       dtype=complex)
     states[:, 0] = y0
     # one row per member still running; `members` holds their batch indices
-    members = np.arange(len(y0))
-    t = np.zeros(len(y0))
-    h = np.full(len(y0), first)
-    length = np.full(len(y0), WINDOW if samples else 1)
+    members = np.arange(size)
+    t = np.zeros(size)
+    length = np.full(size, WINDOW if samples is not None else 1)
 
     def retire(results):
         """Record {row: states or error} and drop those rows."""
-        nonlocal members, t, h, length, y
+        nonlocal members, t0, unit, end, spacing, t, h, length, y
         for row, result in results.items():
             outcomes[members[row]] = result
         keep = np.ones(len(members), dtype=bool)
         keep[list(results)] = False
-        members, t, h, length, y = (
-            a[keep] for a in (members, t, h, length, y))
+        members, t0, unit, end, spacing, t, h, length, y = (
+            a[keep] for a in (members, t0, unit, end, spacing, t, h, length,
+                              y))
 
     def not_finite(rows, at):
         return {row: NonFiniteState(f"M(t) or M'(t) is not finite at "
-                                    f"t={t0 + unit * at[row]:.6g}")
+                                    f"t={t0[row] + unit[row] * at[row]:.6g}")
                 for row in rows}
 
-    window = functools.partial(_window, method, coefficients, cfg, t0, unit,
-                               end)
+    window = functools.partial(_window, method, coefficients, cfg)
 
     with np.errstate(all="ignore"):
         # the states as real forms; a non-finite y0 lifts to nan
@@ -487,19 +521,21 @@ def _run(coefficients, t0, t1, y0, cfg, samples=None):
                 # budget
                 ended = {row: StepBudgetExceeded(
                     f"more than {MAX_STEPS} steps, stopped at "
-                    f"t={t0 + unit * t[row]:.6g}")
+                    f"t={t0[row] + unit[row] * t[row]:.6g}")
                     for row in np.flatnonzero(budget)}
                 ended.update({row: StepUnderflow(
-                    f"step size {unit * h[row]:.3e} underflowed at "
-                    f"t={t0 + unit * t[row]:.6g}")
+                    f"step size {unit[row] * h[row]:.3e} underflowed at "
+                    f"t={t0[row] + unit[row] * t[row]:.6g}")
                     for row in np.flatnonzero(underflow)})
-                ended.update({row: states[members[row]]
+                ended.update({row: states[members[row], :last[members[row]]
+                                          + 1]
                               for row in np.flatnonzero(arrived)})
                 retire(ended)
                 continue
             # a window that reaches its stop takes equal steps that end
             # exactly there; the budget may cut a window short
-            step, stop = _lattice(h, t, end) if samples else (h, end)
+            step, stop = (_lattice(h, t, end) if samples is not None
+                          else (h, end))
             remaining = stop - t
             need = np.ceil(remaining / step * (1.0 - 1e-9))
             n = np.minimum(np.minimum(need, length),
@@ -508,7 +544,8 @@ def _run(coefficients, t0, t1, y0, cfg, samples=None):
             step = np.where(arrives, remaining / need, step)
             # members whose A fails leave, and the rest retry the window;
             # so do members that are not finite at the window's start
-            result, errors = _isolated(window, members, t, step, n, y)
+            result, errors = _isolated(window, members, t0, unit, end, t,
+                                       step, n, y)
             if errors:
                 retire(errors)
                 continue
@@ -532,15 +569,16 @@ def _run(coefficients, t0, t1, y0, cfg, samples=None):
             taken[members] += accepted
             # an accepted step that ends on a sample time records its state
             w, row = np.nonzero((ahead < accepted) & (ends % spacing == 0.0))
-            states[members[row], (ends[w, row] / spacing).astype(int)] = \
+            states[members[row], (ends[w, row] / spacing[row]).astype(int)] = \
                 ys[w + 1, row, ::2].view(complex)
             t = np.where(accepted > 0, ends[accepted - 1, rows], t)
-            length = np.where(accepted > 0, WINDOW, 1 if samples else length)
+            length = np.where(accepted > 0, WINDOW,
+                              length if samples is None else 1)
             y = ys[accepted, rows]
             # the next step comes from the rejected step's error, or else the
             # window's largest; a nan error estimate shrinks the step
             if err is None:
-                h = np.full(len(members), first)
+                h = np.full(len(members), fixed)
             else:
                 worst = np.where(accepted < n, err[after, rows],
                                  np.where(real, err, 0.0).max(axis=0))

@@ -325,7 +325,8 @@ def test_sweep_rows_match_analyze(capsys):
         expected = {"re_trace": report.re_trace, "frob_sq": report.frob_sq,
                     "abs_rho1": moduli[-1], "abs_rho2": moduli[0],
                     "verdict_multipliers": report.verdict_multipliers.kind.value}
-        assert cli._numeric_match(expected, {k: row[k] for k in expected})
+        assert cli._numeric_mismatch(
+            expected, {k: row[k] for k in expected}, "row") is None
 
 
 @pytest.mark.parametrize("hill_a, sweep_a, p", [
@@ -497,7 +498,8 @@ def test_replay_reproduces_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("change, code, err", [
-    (1e-9, 3, "replay mismatch: results differ beyond 1e-12\n"),
+    (1e-9, 3, "replay mismatch: results.re_trace differs by 2.6e-10 "
+              "(beyond 1e-12)\n"),
     (1e-13, 0, "")], ids=["beyond", "within"])
 def test_replay_of_a_changed_report(tmp_path, capsys, change, code, err):
     # a result moved beyond the replay tolerance fails with exit 3 alone
@@ -523,6 +525,33 @@ def test_replay_of_committed_periodic_reports(fixture, capsys):
     # tolerance regenerates them
     path = os.path.join(DATA, f"periodic_{fixture}.json")
     assert run_cli(["--replay", path]) == 0, capsys.readouterr().err
+
+
+def test_replay_mismatch_names_the_first_differing_path(tmp_path, capsys):
+    # a nested field of a committed report, moved beyond the tolerance
+    with open(os.path.join(DATA, "periodic_growing.json")) as handle:
+        report = json.load(handle)
+    report["results"]["multipliers"][1]["value"][1] += 1e-9
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert run_cli(["--replay", str(path)]) == 3
+    assert capsys.readouterr() == ("", (
+        "replay mismatch: results.multipliers[1].value[1] differs by 1e-09 "
+        "(beyond 1e-12)\n"))
+
+
+def test_overflow_of_the_second_period_is_a_numerical_failure(capsys):
+    # M(T) = e^500 is finite, and so is Phi(t, T) on [T, 2T]; their product
+    # M(t) overflows after t = 2.839, first at the sample t = 2.875.  A numpy
+    # warning becomes an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["periodic", "--period", "2", "--entry", "250",
+                        "--format", "json"])
+    assert code == 3
+    assert capsys.readouterr() == (
+        "", "numerical failure: NonFiniteState: M(t) is not finite at "
+            "t=2.875\n")
 
 
 def test_integrator_flags_are_honored(tmp_path):
@@ -654,6 +683,8 @@ def test_unreadable_or_unwritable_file_exits_2(tmp_path, capsys, flag):
 
 # the period as a number, the way a report's config holds it
 HILL_CONFIG = {"mode": "hill", "period": math.pi, "a": "1 + j*cos(2*t)"}
+SWEEP_CONFIG = {**HILL_CONFIG, "mode": "sweep", "a": "p + j*cos(2*t)",
+                "sweep": {"grid": [0.5]}}
 
 
 @pytest.mark.parametrize("config", [
@@ -665,8 +696,16 @@ HILL_CONFIG = {"mode": "hill", "period": math.pi, "a": "1 + j*cos(2*t)"}
     {**HILL_CONFIG, "mode": "sweep", "sweep": [1, 2]},
     {**HILL_CONFIG, "integrator": [1]},
     {"mode": "periodic", "period": math.pi, "entries": "t"},
+    {**SWEEP_CONFIG, "jobs": None},
+    {**HILL_CONFIG, "integrator": {"rtol": None}},
+    {**HILL_CONFIG, "integrator": {"atol": [1e-12]}},
+    {**HILL_CONFIG, "integrator": {"method": ["rk4"]}},
+    {**SWEEP_CONFIG, "sweep": {"grid": 5}},
+    {**SWEEP_CONFIG, "sweep": {"grid": [0.5, None]}},
+    {**SWEEP_CONFIG, "sweep": {"start": 0, "stop": None, "step": 1}},
 ], ids=["list", "a", "period", "output", "format", "sweep", "integrator",
-        "entries"])
+        "entries", "jobs", "rtol", "atol", "method", "grid", "grid-point",
+        "stop"])
 @pytest.mark.parametrize("flag", ["--config", "--replay"])
 def test_malformed_config_exits_2(tmp_path, capsys, config, flag):
     # a replayed report's config is checked the same way
@@ -675,6 +714,13 @@ def test_malformed_config_exits_2(tmp_path, capsys, config, flag):
                                {"mode": "hill", "config": config,
                                 "results": {}}))
     expect_configuration_error(capsys, [flag, str(path)])
+
+
+def test_replay_of_a_report_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps([{"mode": "hill", "config": HILL_CONFIG,
+                                 "results": {}}]))
+    expect_configuration_error(capsys, ["--replay", str(path)])
 
 
 @pytest.mark.parametrize("entry", ["1e400", "exp(1000)"])

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qfloquet.expressions import MatrixSpec
-from qfloquet.floquet import (P_SAMPLE_COUNT, NotPeriodic, Stability,
-                              ZeroMultiplier,
+from qfloquet.floquet import (P_SAMPLE_COUNT, SECOND_PERIOD_SAMPLES,
+                              NotPeriodic, Stability, ZeroMultiplier,
                               characteristic_exponents, classify_constant,
                               classify_periodic, exponent_sum_residual,
                               monodromy, normal_form, periodic_solutions,
@@ -182,6 +182,28 @@ def test_normal_form_samples_are_adjoint_stacks(fd_growing,
     alone = integrate(periodic_growing_spec, 0.0, fd.period,
                       QMatrix.identity(2)).final
     assert np.array_equal(monodromy(periodic_growing_spec).top, alone.top)
+
+
+@pytest.mark.parametrize("name", ["growing", "defective", "marginal",
+                                  "decaying"])
+def test_normal_form_periods_are_their_lone_integrations(name, request):
+    # the first period, integrated in one batch with the second, is its lone
+    # integration bit for bit.  The second period's M(t), Phi(t, T) M(T),
+    # is the integration over [T, 2T] from M(T) within 1e-13 relative,
+    # sample by sample (at most 1.0e-15 here, and 3.2e-15 on the first 200
+    # seed-4817 `periodic_random` benchmark systems)
+    spec = request.getfixturevalue(f"periodic_{name}_spec")
+    first, second = request.getfixturevalue(f"fd_{name}").trajectories
+    T = spec.period
+    alone = integrate(spec, 0.0, T, QMatrix.identity(2),
+                      samples=P_SAMPLE_COUNT - 1)
+    assert np.array_equal(first.times, alone.times)
+    assert np.array_equal(first.adjoints, alone.adjoints)
+    restarted = integrate(spec, T, 2.0 * T, alone.final,
+                          samples=SECOND_PERIOD_SAMPLES)
+    assert np.array_equal(second.times, restarted.times)
+    assert np.all(sum_norms(second.adjoints - restarted.adjoints)
+                  <= 1e-13 * sum_norms(restarted.adjoints))
 
 
 def test_normal_form_marginal(fd_marginal):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qfloquet.expressions import MatrixSpec
+from qfloquet.floquet import normal_form
 from qfloquet.integrate import (IntegratorConfig, NonFiniteState,
                                 QuadratureFailure, StepBudgetExceeded,
                                 StepUnderflow, integrate, integrate_batch,
@@ -347,17 +348,69 @@ def test_normal_form_takes_few_steps(fd_growing):
                for traj in fd_growing.trajectories) <= 274 // 3
 
 
-def test_normal_form_evaluates_a_once_per_window(fd_growing):
-    # A(t) is evaluated once per window of steps, with no pass at t0 (the
-    # first window's stage 0 is A(t0)): each period takes 1 call, a full
-    # first window whose steps are the sample spacing
-    for traj, samples in zip(fd_growing.trajectories, (32, 48)):
-        counts = traj.counts
-        assert len(traj.times) == samples + 1
-        assert counts.trials >= counts.accepted >= samples
-        # a window holds at most WINDOW trial steps
-        windows = math.ceil(counts.trials / integrate_module.WINDOW)
-        assert windows == counts.coefficient_calls == 1
+def test_normal_form_evaluates_a_once_per_window(request, monkeypatch):
+    # both periods are one batch, one `_run`, and A(t) is evaluated once per
+    # window of steps, with no pass at t0 (the first window's stage 0 is
+    # A(t0)): on each paper system the two periods take 1 call together, a
+    # full first window whose steps are each period's own sample spacing
+    calls = {"_run": 0, "_window": 0}
+    for function in calls:
+        def counted(*args, original=getattr(integrate_module, function),
+                    function=function):
+            calls[function] += 1
+            return original(*args)
+        monkeypatch.setattr(integrate_module, function, counted)
+    for name in ("growing", "defective", "marginal", "decaying"):
+        calls.update(dict.fromkeys(calls, 0))
+        fd = normal_form(request.getfixturevalue(f"periodic_{name}_spec"))
+        assert calls == {"_run": 1, "_window": 1}, name
+        for traj, samples in zip(fd.trajectories, (32, 48)):
+            counts = traj.counts
+            assert len(traj.times) == samples + 1
+            assert counts.trials == counts.accepted == samples
+            assert counts.coefficient_calls == 1
+
+
+@pytest.mark.parametrize("cfg", [
+    IntegratorConfig(), IntegratorConfig(method="rk4", rk4_step=0.03)],
+    ids=["dop853", "rk4"])
+def test_spans_of_a_batch_are_their_lone_integrations(cfg):
+    # each span of one batch gives its lone integration's samples bit for
+    # bit, and its own step counts; RK4 takes its steps per sample spacing
+    # span by span (here 4, 3 and 4 steps a spacing)
+    spec = growing_periodic_spec()
+    M0 = known_monodromy()
+    spans = [(0.0, math.pi, 32), (1.0, 2.5, 24), (-0.5, 0.25, 8)]
+    batch = integrate_module.integrate_spans(spec, spans, M0, cfg)
+    for (t0, t1, samples), traj in zip(spans, batch):
+        alone = integrate(spec, t0, t1, M0, cfg, samples=samples)
+        assert np.array_equal(traj.times, alone.times)
+        assert np.array_equal(traj.adjoints, alone.adjoints)
+        assert traj.counts[:2] == alone.counts[:2]
+        assert traj.counts.coefficient_calls == \
+            batch[0].counts.coefficient_calls
+    if cfg.method == "rk4":
+        assert [traj.counts.accepted for traj in batch] == [4 * 32, 3 * 24,
+                                                            4 * 8]
+    with pytest.raises(ValueError, match="samples"):
+        integrate_module.integrate_spans(spec, [(0.0, 1.0, None),
+                                                (0.0, 1.0, 4)], M0, cfg)
+
+
+def test_spans_that_both_fail_raise_the_first_ones_error():
+    # M(t) = exp(50 t^2) overflows near t = 3.77 on both spans; the first
+    # span's error is its lone integration's
+    spec = MatrixSpec.from_strings([["100*t"]])
+    spans = [(0.0, 8.0, 16), (1.0, 8.0, 14)]
+    messages = []
+    for t0, t1, samples in spans:
+        with pytest.raises(NonFiniteState) as failure:
+            integrate(spec, t0, t1, QMatrix.identity(1), samples=samples)
+        messages.append(str(failure.value))
+    assert messages[0] != messages[1]
+    with pytest.raises(NonFiniteState) as failure:
+        integrate_module.integrate_spans(spec, spans, QMatrix.identity(1))
+    assert str(failure.value) == messages[0]
 
 
 @pytest.mark.parametrize("cfg, stages", [

@@ -566,6 +566,35 @@ def test_non_finite_stack_member_fails_alone():
     assert spectrum_key(last) == single_key(members[2])
 
 
+def test_stack_failures_keep_their_types_messages_and_precedence():
+    # a singular member, a non-finite one and one whose adjoint eigenvalues
+    # (4i, 3i, 2i, i: a complex matrix, not an adjoint) have no conjugates;
+    # a singular matrix that cannot be paired either is Singular first
+    singular = adjoint(QMatrix.diag([Quaternion(0.0), Quaternion(1, 1, 0, 0)]))
+    non_finite = adjoint(QMatrix.identity(2))
+    non_finite[1, 2] = np.inf
+    unpaired = np.diag([4j, 3j, 2j, 1j])
+    both = np.diag([0j, 3j, 2j, 1j])
+    stack = np.stack([singular, non_finite, unpaired, both])
+    expected = {
+        1e-12: [("Singular", "adjoint condition 1.414e+00/0.000e+00 treats "
+                 "the matrix as singular"),
+                ("LinAlgError", "Array must not contain infs or NaNs"),
+                ("PairingFailure", "4 eigenvalues above the real axis vs 0 "
+                 "below"),
+                ("Singular", "adjoint condition 3.000e+00/0.000e+00 treats "
+                 "the matrix as singular")],
+        None: [("LinAlgError", "Array must not contain infs or NaNs"),
+               ("PairingFailure", "4 eigenvalues above the real axis vs 0 "
+                "below"),
+               ("PairingFailure", "3 eigenvalues above the real axis vs 0 "
+                "below")]}
+    for tol, outcomes in expected.items():
+        got = [spectrum_key(outcome) for outcome in
+               standard_eigenvalues(stack[len(stack) - len(outcomes):], tol)]
+        assert got == outcomes
+
+
 def _reference_pairs(eigs, tau):
     """The n paired representatives of one member's adjoint eigenvalues,
     paired one member at a time in Python's complex arithmetic."""
