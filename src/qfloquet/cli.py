@@ -114,17 +114,6 @@ def _entry_rows(tokens):
     return rows
 
 
-def _check_number(value, what):
-    """Raise ValueError unless float() reads value: a number, or a string
-    such as "nan", which a report's config holds for a non-finite grid
-    point."""
-    try:
-        float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"config {what} must be a number, got "
-                         f"{value!r}") from None
-
-
 def _check_config(config):
     """Return config if its values have the types the modes read, else
     raise ValueError: it is an object, its `integrator`, `output` and
@@ -139,21 +128,25 @@ def _check_config(config):
         if not isinstance(config.get(key, {}), dict):
             raise ValueError(f"config {key!r} must be a JSON object")
     if not isinstance(config.get("jobs", 1), int):
-        raise ValueError(f"config 'jobs' must be an integer, got "
-                         f"{config['jobs']!r}")
+        raise ValueError("config 'jobs' must be an integer")
     integ, sweep = config.get("integrator", {}), config.get("sweep", {})
-    for key in ("rtol", "atol"):
-        if key in integ:
-            _check_number(integ[key], f"integrator {key!r}")
     if not isinstance(integ.get("method", ""), str):
         raise ValueError("config integrator 'method' must be a string")
     if not isinstance(sweep.get("grid", []), list):
         raise ValueError("config sweep 'grid' must be a list")
-    for value in sweep.get("grid", []):
-        _check_number(value, "sweep grid point")
-    for key in ("start", "stop", "step"):
-        if key in sweep:
-            _check_number(sweep[key], f"sweep {key!r}")
+    # numbers are what float() reads; a report's config names a non-finite
+    # grid point "nan", "inf" or "-inf"
+    numbers = [(f"integrator {key!r}", integ[key]) for key in ("rtol", "atol")
+               if key in integ]
+    numbers += [(f"sweep {key!r}", sweep[key])
+                for key in ("start", "stop", "step") if key in sweep]
+    numbers += [("sweep grid point", value) for value in sweep.get("grid", [])]
+    for what, value in numbers:
+        try:
+            float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"config {what} must be a number, got "
+                             f"{value!r}") from None
     if not isinstance(config.get("a", ""), str):
         raise ValueError("config 'a' must be a string")
     entries = config.get("entries", [])

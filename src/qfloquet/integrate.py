@@ -466,22 +466,16 @@ def _run(coefficients, t0, t1, y0, cfg, samples=None):
     """
     method = _RK4 if cfg.method == "rk4" else _DOP853
     size = len(y0)
-    t0, t1 = (np.broadcast_to(np.asarray(x, dtype=float), size)
-              for x in (t0, t1))
-    span = t1 - t0
-    # the index of each member's state at t1
-    last = np.broadcast_to(1 if samples is None else samples, size)
-    if samples is None:
-        unit, end, spacing = np.ones(size), span, span
-        fixed = cfg.rk4_step
-    else:
-        per = np.ones(size) if method.err else np.ceil(
-            span / last / cfg.rk4_step)
-        unit, end, spacing = span / last / per, last * per, per
-        fixed = 1.0
-    # the first trial step, and RK4's every step
-    h = (np.minimum(span / 100.0, 0.1) if method.err and samples is None
-         else np.full(size, fixed))
+    span = np.subtract(t1, t0)
+    last = 1 if samples is None else samples    # the index of t1's state
+    per = 1 if method.err or samples is None else np.ceil(
+        span / last / cfg.rk4_step)
+    unit, end, spacing = ((span / last / per, last * per, per)
+                          if samples is not None else (1.0, span, span))
+    first = (1.0 if samples is not None else np.minimum(span / 100.0, 0.1)
+             if method.err else cfg.rk4_step)     # the first trial step
+    t0, unit, end, spacing, h, last = (np.broadcast_to(x, size) for x in (
+        t0, unit, end, spacing, first, last))
     outcomes = [None] * size
     trials, taken = (np.zeros(size, dtype=int) for _ in range(2))
     states = np.empty((size, last.max(initial=1) + 1) + y0.shape[1:],
@@ -578,7 +572,7 @@ def _run(coefficients, t0, t1, y0, cfg, samples=None):
             # the next step comes from the rejected step's error, or else the
             # window's largest; a nan error estimate shrinks the step
             if err is None:
-                h = np.full(len(members), fixed)
+                h = np.full(len(members), first)
             else:
                 worst = np.where(accepted < n, err[after, rows],
                                  np.where(real, err, 0.0).max(axis=0))
